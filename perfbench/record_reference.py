@@ -20,7 +20,7 @@ from pathlib import Path
 import workloads as wl
 
 GRIDS = (
-    {"algorithms": ["greedy", "proposal"], "deltas": list(range(3, 14)), "chains": ["ec"]},
+    {"algorithms": ["greedy", "proposal"], "deltas": [*range(3, 11), 12, 13], "chains": ["ec"]},
     {"algorithms": ["proposal"], "deltas": [3, 4], "chains": ["po", "oi", "id"]},
 )
 

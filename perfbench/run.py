@@ -89,26 +89,17 @@ def tail_latency(values, q: float = 0.90, beyond: int = 10) -> float:
 
 def _worker(ctx: dict, index: int, grid: dict, extra: list) -> dict:
     """Run ``worker.py`` once; returns its result with ``setup_s`` added."""
-    spec = wl.SWEEPS.get(ctx["workload"], {"backend": "inline", "workers": 0})
     result_path = ctx["work"] / f"pass-{index}.json"
-    cmd = [
-        sys.executable, str(WORKER),
-        "--grid", json.dumps(grid),
-        "--backend", spec["backend"],
-        "--workers", str(spec["workers"]),
-        "--result", str(result_path),
-        *extra,
-    ]
+    cmd = [sys.executable, str(WORKER), "--grid", json.dumps(grid), "--result", str(result_path), *extra]
     start = time.monotonic()
-    # own process group: a timeout kills the pass with its pool workers
     proc = subprocess.Popen(
-        cmd, env=ctx["env"], cwd=ctx["root"], start_new_session=True,
+        cmd, env=ctx["env"], cwd=ctx["root"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     try:
         _, stderr = proc.communicate(timeout=max(1.0, ctx["deadline"] - start))
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
         proc.communicate()
         raise PassFailed("sweep pass ran past the run deadline") from None
     if proc.returncode != 0:
@@ -120,23 +111,14 @@ def _worker(ctx: dict, index: int, grid: dict, extra: list) -> dict:
 
 def sweep_pass(ctx: dict, index: int, traced: bool, grid=None) -> dict:
     grid = grid if grid is not None else wl.sweep_grid(ctx["workload"], ctx["seed"])
-    extra = ["--layers"] if traced else []
-    if wl.SWEEPS.get(ctx["workload"], {}).get("backend") == "process":
-        extra += ["--out", str(ctx["work"] / f"out-{index}")]
-    result = _worker(ctx, index, grid, extra)
+    result = _worker(ctx, index, grid, ["--layers"] if traced else [])
     result["wall_s"] = result["sweep_s"]
     result["bad"] = wl.check_rows(ctx["reference"], grid, result["rows"])
     result["attempted"] = len(wl.grid_cells(grid))
     # a sweep user's job is the api.sweep call: one per pass
     result["latencies"] = [result["sweep_s"]]
     result["jobs"] = 1
-    shard_busy = [
-        sum(result["cell_s"].get(key, 0.0) for key in keys)
-        for keys in result["shards"].values()
-    ] or [sum(result["cell_s"].values())]
-    result["critical_path_s"] = max(shard_busy)
-    result["shard_imbalance"] = max(shard_busy) / statistics.mean(shard_busy)
-    result["overhead_s"] = result["sweep_s"] - result["critical_path_s"]
+    result["overhead_s"] = result["sweep_s"] - sum(result["cell_s"].values())
     result["cell_s_max"] = max(result["cell_s"].values(), default=0.0)
     return result
 
@@ -248,6 +230,16 @@ def _run_job(client: Client, job: dict, stats: dict, phase: float):
     return latency, doc["rows"]
 
 
+def final_elapsed_s(progress_path: Path) -> float:
+    """``elapsed_s`` of a job's final progress event: the server's own
+    wall time for the job's sweep."""
+    for line in reversed(progress_path.read_text(encoding="utf-8").splitlines()):
+        event = json.loads(line)
+        if event["event"] == "final":
+            return event["elapsed_s"]
+    raise PassFailed(f"no final progress event in {progress_path}")
+
+
 @contextlib.contextmanager
 def running_server(ctx: dict, data: Path, layers_out=None):
     """A healthy ``serve-api`` process: yields ``(proc, client, setup_s)``
@@ -297,12 +289,17 @@ def service_pass(ctx: dict, index: int, traced: bool) -> dict:
         loop_s = time.monotonic() - loop_start
         peak_rss_mb = _vm_hwm_mb(proc.pid)
 
+    # server-side engine overhead: each job's sweep time (the elapsed_s of
+    # its final progress event, written after summary.json and trace.json)
+    # minus its cells; HTTP and polling stay in service.submit_s and
+    # service.polls_per_job
     cell_s, overhead, cache = [], 0.0, {}
-    for job_id, latency, job_cache in stats["done"]:
-        trace_path = data / "jobs" / job_id / "trace.json"
-        times = list(wl.cell_times(json.loads(trace_path.read_text(encoding="utf-8"))).values())
+    for job_id, _, job_cache in stats["done"]:
+        job_dir = data / "jobs" / job_id
+        trace = json.loads((job_dir / "trace.json").read_text(encoding="utf-8"))
+        times = list(wl.span_times(trace, "engine.cell").values())
         cell_s.extend(times)
-        overhead += latency - sum(times)
+        overhead += final_elapsed_s(job_dir / "progress.jsonl") - sum(times)
         for key, value in job_cache.items():
             if isinstance(value, int):  # counters; hit_rate is recomputed
                 cache[key] = cache.get(key, 0) + value
@@ -323,8 +320,6 @@ def service_pass(ctx: dict, index: int, traced: bool) -> dict:
         "loop_lag_s": lag,
         "cache": cache,
         "cell_s_max": max(cell_s, default=0.0),
-        "critical_path_s": sum(cell_s),
-        "shard_imbalance": 1.0,
         "overhead_s": overhead,
         "artifact_bytes": sum(p.stat().st_size for p in jobs_dir.rglob("*") if p.is_file()),
         "layers": json.loads(layers_out.read_text(encoding="utf-8")) if traced else None,
@@ -437,9 +432,7 @@ def per_layer_metrics(plain: dict, traced: list, attempted: int, failed: int) ->
         "checked_run.memo_ratio": (1.0 - simulated / checked if checked else 0.0, "ratio"),
         "engine.cell_s.max": (plain["cell_s_max"], "s"),
         "engine.overhead_s": (plain["overhead_s"], "s"),
-        "engine.artifact_bytes": (plain["artifact_bytes"], "bytes"),
-        "engine.shard_imbalance": (plain["shard_imbalance"], "ratio"),
-        "engine.critical_path_s": (plain["critical_path_s"], "s"),
+        "engine.artifact_bytes": (plain.get("artifact_bytes", 0), "bytes"),
         "cache.lookups": (lookups, "count"),
         "cache.hit_ratio": (cache.get("hits", 0) / lookups if lookups else 0.0, "ratio"),
         "cache.disk_hits": (cache.get("disk_hits", 0), "count"),

@@ -1,22 +1,19 @@
-"""One cold sweep pass in a fresh interpreter.
+"""One cold inline sweep pass in a fresh interpreter.
 
-    python3 perfbench/worker.py --grid JSON --backend inline --result FILE
-        [--workers N] [--out DIR] [--layers | --setup-only]
+    python3 perfbench/worker.py --grid JSON --result FILE [--layers | --setup-only]
 
 Run with ``src`` on ``PYTHONPATH``.  The pass imports ``repro``, builds its
 grid, records the moment it is ready (``time.monotonic``, comparable with
-the parent's clock), runs one ``repro.api.sweep`` call and writes a JSON
-result: rows, wall time, per-cell times from the sweep's own trace, cache
-stats, peak RSS and, with ``--layers``, the layer clocks of this process
-and of every spawned pool worker.  ``--setup-only`` stops once ready.
+the parent's clock), runs one inline ``repro.api.sweep`` call and writes a
+JSON result: rows, wall time, per-cell times from the sweep's own trace,
+cache stats, peak RSS and, with ``--layers``, the layer clocks.
+``--setup-only`` stops once ready.
 """
 
 from __future__ import annotations
 
 import argparse
-import atexit
 import json
-import os
 import resource
 import sys
 import time
@@ -27,46 +24,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import layers  # noqa: E402 - after the path fix above
 import workloads  # noqa: E402
 
-#: set in traced passes; spawned pool workers install the layer clocks too
-LAYERS_DIR_ENV = "PERFBENCH_LAYERS_DIR"
-
-
-def merge_layer_snapshots(snapshots) -> dict:
-    busy: dict = {}
-    counts: dict = {}
-    for snap in snapshots:
-        for key, value in snap["busy"].items():
-            busy[key] = busy.get(key, 0.0) + value
-        for key, value in snap["counts"].items():
-            counts[key] = counts.get(key, 0) + value
-    return {"busy": busy, "counts": counts}
-
-
-def shard_cells(out_dir: Path) -> dict:
-    """Which cell keys each ``shard-*.jsonl`` file of a sweep holds."""
-    shards = {}
-    for path in sorted(out_dir.glob("shard-*.jsonl")):
-        keys = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                keys.append(json.loads(line)["key"])
-        shards[path.stem] = keys
-    return shards
-
-
-def _peak_rss_mb(children: bool) -> float:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if children:
-        peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-    return peak / 1024.0
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", required=True)
-    parser.add_argument("--backend", default="inline")
-    parser.add_argument("--workers", type=int, default=0)
-    parser.add_argument("--out")
     parser.add_argument("--result", required=True)
     parser.add_argument("--layers", action="store_true")
     parser.add_argument("--setup-only", action="store_true")
@@ -78,9 +39,6 @@ def main(argv=None) -> int:
     if args.layers:
         clock = layers.LayerClock()
         layers.install(clock)
-        child_dir = Path(args.result).with_suffix(".layers")
-        child_dir.mkdir(parents=True, exist_ok=True)
-        os.environ[LAYERS_DIR_ENV] = str(child_dir)
     grid = json.loads(args.grid)
     ready = time.monotonic()
     if args.setup_only:
@@ -88,7 +46,7 @@ def main(argv=None) -> int:
         return 0
 
     start = time.perf_counter()
-    report = api.sweep(grid, workers=args.workers, backend=args.backend, out=args.out)
+    report = api.sweep(grid, workers=0, backend="inline")
     sweep_s = time.perf_counter() - start
 
     result = {
@@ -96,31 +54,13 @@ def main(argv=None) -> int:
         "sweep_s": sweep_s,
         "rows": list(report.rows),
         "cache": report.cache.as_dict(),
-        "cell_s": workloads.cell_times(report.trace or {}),
-        "peak_rss_mb": _peak_rss_mb(children=args.backend == "process"),
-        "shards": shard_cells(Path(args.out)) if args.out else {},
-        "artifact_bytes": (
-            sum(p.stat().st_size for p in Path(args.out).rglob("*") if p.is_file())
-            if args.out
-            else 0
-        ),
-        "layers": None,
+        "cell_s": workloads.span_times(report.trace or {}, "engine.cell"),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "layers": clock.snapshot() if clock is not None else None,
     }
-    if clock is not None:
-        snaps = [clock.snapshot()]
-        for path in sorted(Path(os.environ[LAYERS_DIR_ENV]).glob("layers-*.json")):
-            snaps.append(json.loads(path.read_text(encoding="utf-8")))
-        result["layers"] = merge_layer_snapshots(snaps)
     Path(args.result).write_text(json.dumps(result), encoding="utf-8")
     return 0
 
 
 if __name__ == "__main__":
     sys.exit(main())
-elif __name__ == "__mp_main__" and os.environ.get(LAYERS_DIR_ENV):
-    # a spawned pool worker re-imports this module as __mp_main__: clock it
-    # and leave its counts behind for the parent pass to merge
-    _clock = layers.LayerClock()
-    layers.install(_clock)
-    _dump = Path(os.environ[LAYERS_DIR_ENV]) / f"layers-{os.getpid()}.json"
-    atexit.register(lambda: _dump.write_text(json.dumps(_clock.snapshot()), encoding="utf-8"))

@@ -15,23 +15,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REFERENCE = HERE / "reference.json"
 
-#: sweep workloads: grid axes (the cell seed comes from --seed) and backend
+#: inline sweep workloads: grid axes (the cell seed comes from --seed)
 SWEEPS = {
-    "adversary-deep": {
-        "grid": {"algorithms": ["greedy", "proposal"], "deltas": [12, 13], "chains": ["ec"]},
-        "backend": "inline",
-        "workers": 0,
-    },
-    "sim-chain": {
-        "grid": {"algorithms": ["proposal"], "deltas": [3, 4], "chains": ["po", "oi", "id"]},
-        "backend": "inline",
-        "workers": 0,
-    },
-    "sharded-mixed": {
-        "grid": {"algorithms": ["greedy", "proposal"], "deltas": list(range(3, 13)), "chains": ["ec"]},
-        "backend": "process",
-        "workers": 2,
-    },
+    "adversary-deep": {"algorithms": ["greedy", "proposal"], "deltas": [12, 13], "chains": ["ec"]},
+    "sim-chain": {"algorithms": ["proposal"], "deltas": [3, 4], "chains": ["po", "oi", "id"]},
 }
 
 SERVICE = "service-mixed"
@@ -44,7 +31,7 @@ WORKLOADS = tuple(SWEEPS) + (SERVICE,)
 
 def sweep_grid(workload: str, seed: int) -> dict:
     """The sweep workload's grid; ``seed`` only names the cells (keys)."""
-    return dict(SWEEPS[workload]["grid"], seeds=[seed])
+    return dict(SWEEPS[workload], seeds=[seed])
 
 
 def service_jobs(seed: int) -> list:
@@ -103,14 +90,15 @@ def status_counts(rows) -> dict:
     return dict(sorted(counts.items()))
 
 
-def cell_times(trace: dict) -> dict:
-    """Wall seconds per cell key from a sweep trace's ``engine.cell`` spans."""
+def span_times(trace: dict, name: str) -> dict:
+    """Wall seconds of a sweep trace's spans called ``name``, summed per
+    ``key`` attribute (spans without one are summed under ``None``)."""
     times: dict = {}
     stack = list(trace.get("spans", []))
     while stack:
         span = stack.pop()
-        if span["name"] == "engine.cell":
-            key = span["attrs"]["key"]
+        if span["name"] == name:
+            key = span["attrs"].get("key")
             times[key] = times.get(key, 0.0) + span["duration"]
         stack.extend(span.get("children", []))
     return times
