@@ -215,10 +215,6 @@ def sweep(
     hosts=None,
     memory_budget: Optional[int] = None,
     out: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    cache_tenant: Optional[str] = None,
-    cache_shared_dir: Optional[str] = None,
-    cache_disk_budget: Optional[int] = None,
     use_cache: bool = True,
     resume: bool = False,
     tracer=None,
@@ -242,12 +238,8 @@ def sweep(
     ``memory_budget`` configure the socket backend's shard servers and
     per-request ball-volume budget.
 
-    ``cache_tenant``/``cache_shared_dir``/``cache_disk_budget`` configure
-    the multi-tenant canonical-form cache the sweep service uses: a
-    namespaced per-tenant disk tier under ``cache_dir``, a read-through
-    shared tier deduping canonicalisation across tenants, and a byte
-    budget past which oldest-used disk entries are evicted — see
-    ``docs/service.md``.
+    ``use_cache=False`` turns off the per-shard in-memory canonical-form
+    memo; rows are identical either way.
 
     ``faults`` replays a deterministic failure scenario (a
     :class:`repro.engine.FaultPlan`, its dict form, or a path to its JSON
@@ -268,10 +260,6 @@ def sweep(
         hosts=hosts,
         memory_budget=memory_budget,
         out_dir=out,
-        cache_dir=cache_dir,
-        cache_tenant=cache_tenant,
-        cache_shared_dir=cache_shared_dir,
-        cache_disk_budget=cache_disk_budget,
         use_cache=use_cache,
         resume=resume,
         tracer=tracer,

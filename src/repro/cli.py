@@ -31,8 +31,8 @@ Subcommands (``python -m repro <subcommand> --help`` for details):
                   ``sweep --backend socket --hosts HOST:PORT,...``;
 * ``serve-api`` — run the sweep-as-a-service HTTP/JSON job server
                   (``repro.service``): queued GridSpec submissions over
-                  ``POST /v1/jobs``, multi-tenant canonical-form caching,
-                  per-job progress streaming and 429 backpressure
+                  ``POST /v1/jobs``, per-tenant rate limits, per-job
+                  progress streaming and 429 backpressure
                   (``docs/service.md``);
 * ``verify``    — test a claimed round count through the ``repro.api``
                   facade, optionally stacking a Section 5 chain; or, with
@@ -384,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common_options(sweep, json_flag=True, chain="ec", out=True, execution=True)
     sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="on-disk canonical-form cache (default: $REPRO_CACHE_DIR)",
-    )
-    sweep.add_argument(
         "--no-cache", action="store_true", help="disable the canonical-form cache"
     )
     sweep.add_argument(
@@ -542,30 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="service-data",
         metavar="DIR",
         help="root for job artifacts (jobs/<id>/ stores, progress JSONL) "
-        "and, unless --cache-dir is set, the tenant caches "
         "(default service-data)",
     )
-    serve_api.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="base of the multi-tenant canonical-form cache "
-        "(tenants/<name>/ + shared/; default DATA_DIR/cache)",
-    )
-    serve_api.add_argument(
-        "--no-shared-cache",
-        action="store_true",
-        help="disable the read-through shared cache tier (tenants stay "
-        "fully isolated, no cross-tenant dedup)",
-    )
-    serve_api.add_argument(
-        "--disk-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="byte budget per cache tier directory; oldest-used entries "
-        "are evicted past it (default: never evict)",
-    )
+    # accepted and ignored: canonical forms are no longer persisted, but
+    # existing launch scripts still pass it
+    serve_api.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     serve_api.add_argument(
         "--queue-size",
         type=int,
@@ -959,9 +934,6 @@ def _cmd_serve_api(args) -> int:
     options = _execution_options(args)
     config = ServiceConfig(
         data_dir=Path(args.data_dir),
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        shared_cache=not args.no_shared_cache,
-        disk_budget=args.disk_budget,
         queue_size=args.queue_size,
         job_workers=args.job_workers,
         rate=args.rate,
@@ -974,6 +946,12 @@ def _cmd_serve_api(args) -> int:
         raise SystemExit(f"repro serve-api: {error}") from None
     host, port = server.address
     print(f"sweep service listening on http://{host}:{port}/v1/", flush=True)
+    if args.cache_dir is not None:
+        print(
+            "repro serve-api: --cache-dir is ignored; the canonical-form "
+            "cache is in-memory only",
+            file=sys.stderr,
+        )
     print(
         f"submit with: curl -X POST http://{host}:{port}/v1/jobs "
         "-H 'X-Repro-Tenant: NAME' -d '{\"grid\": {\"deltas\": [3, 4]}}'",
@@ -1023,7 +1001,6 @@ def _cmd_sweep(args) -> int:
         result = api_sweep(
             grid,
             out=args.out,
-            cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             resume=args.resume,
             faults=args.faults,

@@ -6,9 +6,9 @@ process-parallel sweep:
 * :mod:`repro.engine.grid` — declarative job grids (algorithm × Delta ×
   chain × seed) expanded into deterministic :class:`~repro.engine.grid.Cell`
   jobs;
-* :mod:`repro.engine.cache` — a content-addressed canonical-form cache
-  (in-memory LRU + optional on-disk store under ``$REPRO_CACHE_DIR``)
-  installed into :mod:`repro.graphs.isomorphism` for the duration of a run;
+* :mod:`repro.engine.cache` — a content-addressed, in-memory LRU of
+  canonical forms installed into :mod:`repro.graphs.isomorphism` for the
+  duration of each shard;
 * :mod:`repro.engine.store` — resumable JSONL result shards plus the merged
   ``summary.json``;
 * :mod:`repro.engine.pool` — the backend-agnostic sweep driver: shards
@@ -21,9 +21,9 @@ process-parallel sweep:
   ``process`` (the spawn-context pool) and ``socket`` (multi-host shard
   servers over JSON framing with per-worker memory budgeting);
 * :mod:`repro.engine.faults` — a deterministic fault-injection layer (seeded
-  :class:`~repro.engine.faults.FaultPlan`) that replays worker kills, shard
-  truncation, cache corruption, stalls and transient I/O errors so every
-  recovery path is mechanically exercised.
+  :class:`~repro.engine.faults.FaultPlan`) that replays worker kills and
+  crashes, shard truncation and cell stalls so every recovery path is
+  mechanically exercised.
 
 Entry points: :func:`run_sweep` (or ``python -m repro sweep`` /
 :func:`repro.api.sweep`).  See ``docs/engine.md``.

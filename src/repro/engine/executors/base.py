@@ -67,10 +67,9 @@ class ExecutorCapabilities:
     fault_kinds:
         The fault classes this backend declares survivable — its
         conformance contract.  The mandatory trigger points
-        (``on_worker_cell``, ``on_cell_body``, ``on_store_append``,
-        ``on_cache_write``/``check_cache_io``) live in the shared shard
-        runtime, so every backend inherits them; only the kill *mechanism*
-        (signal vs raise) is backend-specific.
+        (``on_worker_cell``, ``on_cell_body``, ``on_store_append``) live
+        in the shared shard runtime, so every backend inherits them; only
+        the kill *mechanism* (signal vs raise) is backend-specific.
     """
 
     parallel: bool

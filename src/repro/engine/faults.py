@@ -29,12 +29,6 @@ Fault kinds
     After the matching cell's row is appended to its JSONL shard, cut the
     file at ``offset`` bytes (negative: from the end) — the torn-write
     signature of a writer killed mid-``write``.
-``corrupt-cache``
-    After the matching cache entry is written, overwrite ``length`` bytes
-    at ``offset`` with garbage, so a later read sees a corrupt entry.
-``cache-io-error``
-    Raise a transient :class:`InjectedIOError` (an ``OSError``) on the next
-    matching cache ``op`` (``"read"`` or ``"write"``).
 
 Determinism contract
 --------------------
@@ -67,26 +61,21 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "FaultInjector",
-    "InjectedIOError",
     "InjectedWorkerError",
     "active_injector",
     "use_faults",
 ]
 
-PLAN_FORMAT = "repro-fault-plan-v1"
+#: v2 dropped the cache fault kinds (and the ``key``/``op``/``length``
+#: fields only they read): a v1 plan may name a kind that no longer exists
+PLAN_FORMAT = "repro-fault-plan-v2"
 
 FAULT_KINDS = (
     "kill-worker",
     "raise-worker",
     "stall-cell",
     "truncate-shard",
-    "corrupt-cache",
-    "cache-io-error",
 )
-
-#: bytes written over cache entries by ``corrupt-cache`` — deliberately not
-#: valid UTF-8, so readers exercise the full undecodable-garbage path
-GARBAGE = b"\xfe"
 
 
 class InjectedWorkerError(RuntimeError):
@@ -94,29 +83,22 @@ class InjectedWorkerError(RuntimeError):
     there is no separate process to kill)."""
 
 
-class InjectedIOError(OSError):
-    """A simulated transient I/O failure on a cache read or write."""
-
-
 @dataclass(frozen=True)
 class Fault:
     """One replayable trigger; see the module docstring for kind semantics.
 
-    ``cell`` and ``key`` are either an exact value or ``"*"`` (match
-    anything).  ``attempt`` is the sweep restart round for worker faults
-    and the per-cell retry attempt for ``stall-cell``; ``None`` matches
-    every round/attempt.  Each fault fires at most ``times`` times per
+    ``cell`` is either an exact cell key or ``"*"`` (match anything).
+    ``attempt`` is the sweep restart round for worker faults and the
+    per-cell retry attempt for ``stall-cell``; ``None`` matches every
+    round/attempt.  Each fault fires at most ``times`` times per
     injector (workers own independent injectors, so anchor worker-local
     faults on cell keys rather than relying on a global count).
     """
 
     kind: str
     cell: str = "*"
-    key: str = "*"
     attempt: Optional[int] = 0
-    op: str = "*"
     offset: int = -5
-    length: int = 0
     seconds: float = 0.25
     times: int = 1
 
@@ -177,7 +159,7 @@ class FaultPlan:
         cls,
         cell_keys: Sequence[str],
         seed: int,
-        kinds: Sequence[str] = ("kill-worker", "raise-worker", "truncate-shard", "corrupt-cache", "cache-io-error"),
+        kinds: Sequence[str] = ("kill-worker", "raise-worker", "truncate-shard"),
         count: int = 3,
     ) -> "FaultPlan":
         """A deterministic random scenario: ``count`` faults over ``kinds``.
@@ -196,10 +178,6 @@ class FaultPlan:
             cell = rng.choice(list(cell_keys))
             if kind == "stall-cell":
                 faults.append(Fault(kind=kind, cell=cell, seconds=0.4))
-            elif kind == "cache-io-error":
-                faults.append(Fault(kind=kind, op=rng.choice(("read", "write"))))
-            elif kind == "corrupt-cache":
-                faults.append(Fault(kind=kind, offset=rng.choice((-5, 0, 10)), length=rng.choice((0, 4))))
             elif kind == "truncate-shard":
                 faults.append(Fault(kind=kind, cell=cell, offset=-rng.choice((3, 5, 9))))
             else:  # kill-worker / raise-worker
@@ -238,8 +216,6 @@ class FaultInjector:
         *,
         cell: Optional[str] = None,
         attempt: Optional[int] = None,
-        key: Optional[str] = None,
-        op: Optional[str] = None,
     ) -> Optional[Fault]:
         for index, fault in enumerate(self.plan.faults):
             if fault.kind != kind:
@@ -250,23 +226,17 @@ class FaultInjector:
                 continue
             if attempt is not None and fault.attempt is not None and fault.attempt != attempt:
                 continue
-            if key is not None and fault.key not in ("*", key):
-                continue
-            if op is not None and fault.op not in ("*", op):
-                continue
             self._counts[index] = self._counts.get(index, 0) + 1
             record = dict(fault.as_dict(), shard=self.shard)
             if cell is not None:
                 record["matched_cell"] = cell
-            if key is not None:
-                record["matched_key"] = key
             self.fired.append(record)
             current_tracer().metrics.counter("engine.fault", kind=kind).inc()
             return fault
         return None
 
     # ------------------------------------------------------------------
-    # trigger points (called by pool/store/cache)
+    # trigger points (called by the shard runtime and the store)
     # ------------------------------------------------------------------
     def on_worker_cell(self, cell_key: str, round_: int) -> None:
         """Worker is about to execute ``cell_key`` in restart round ``round_``."""
@@ -294,31 +264,12 @@ class FaultInjector:
         with path.open("r+b") as fh:
             fh.truncate(cut)
 
-    def on_cache_write(self, key: str, path) -> None:
-        """A cache entry for ``key`` was atomically written to ``path``."""
-        fault = self._match("corrupt-cache", key=key)
-        if fault is None:
-            return
-        path = Path(path)
-        size = path.stat().st_size
-        start = size + fault.offset if fault.offset < 0 else min(fault.offset, max(size - 1, 0))
-        start = max(0, start)
-        length = fault.length if fault.length > 0 else max(size - start, 1)
-        with path.open("r+b") as fh:
-            fh.seek(start)
-            fh.write(GARBAGE * length)
-
-    def check_cache_io(self, op: str, key: str) -> None:
-        """Raise a transient error for a matching cache ``op`` on ``key``."""
-        if self._match("cache-io-error", key=key, op=op) is not None:
-            raise InjectedIOError(f"injected transient cache {op} error for {key[:12]}…")
-
     def report(self) -> List[dict]:
         """The faults fired so far, in firing order (JSON-ready)."""
         return list(self.fired)
 
 
-#: the ambient injector consulted by store/cache trigger points; ``None``
+#: the ambient injector consulted by the store's trigger point; ``None``
 #: (the default) keeps every fault hook a single attribute read
 _ACTIVE: Optional[FaultInjector] = None
 

@@ -35,7 +35,7 @@ The engine assumes workers can die, cells can hang, and disks can lie:
   ``engine.recovery`` spans); the last restart round always runs inline —
   recovery must not be starved by an environment that keeps killing
   whatever the backend spawns;
-* cache and store damage degrades gracefully (see their modules) and is
+* store damage degrades gracefully (see :mod:`repro.engine.store`) and is
   exercised end to end by :mod:`repro.engine.faults` — pass ``faults=``
   (a :class:`~repro.engine.faults.FaultPlan`) to replay a failure scenario
   deterministically.
@@ -123,10 +123,6 @@ def run_sweep(
     hosts=None,
     memory_budget: Optional[int] = None,
     out_dir=None,
-    cache_dir=None,
-    cache_tenant: Optional[str] = None,
-    cache_shared_dir=None,
-    cache_disk_budget: Optional[int] = None,
     use_cache: bool = True,
     resume: bool = False,
     tracer=None,
@@ -166,23 +162,9 @@ def run_sweep(
         ``None`` keeps everything in memory — such a sweep cannot resume,
         and a lost worker's finished cells must be recomputed instead of
         read back.
-    cache_dir:
-        On-disk canonical-form store shared by all workers; defaults to
-        ``$REPRO_CACHE_DIR`` when set (workers always get an in-memory LRU).
-    cache_tenant:
-        Namespace the disk cache under ``cache_dir/tenants/<tenant>/`` —
-        the multi-tenant discipline the sweep service uses so co-hosted
-        clients cannot evict each other (see ``docs/service.md``).
-    cache_shared_dir:
-        Read-through shared cache tier consulted after a tenant-tier miss
-        and populated by every write, so concurrent sweeps dedupe
-        canonicalisation globally (hits are counted as ``shared_hits``).
-    cache_disk_budget:
-        Per-directory byte budget for the on-disk cache tiers; the
-        oldest-used entries are evicted past it (``disk_evictions``).
-        ``None`` (default) never evicts from disk.
     use_cache:
-        ``False`` disables canonical-form memoization entirely.
+        ``False`` disables canonical-form memoization entirely; otherwise
+        each shard memoizes forms in its own in-memory LRU.
     resume:
         Skip cells whose rows already sit in ``out_dir``'s shards; their
         persisted rows are merged into the result untouched (rows for cells
@@ -287,12 +269,9 @@ def run_sweep(
                 with span_ctx:
                     shards = shard_cells(remaining, active.width if parallel_round else 1)
                     payloads = shard_payloads(
-                        shards, store, cache_dir, use_cache, plan, round_,
+                        shards, store, use_cache, plan, round_,
                         cell_timeout, retries,
                         in_worker=parallel_round and active.capabilities.separate_process,
-                        cache_tenant=cache_tenant,
-                        shared_cache_dir=cache_shared_dir,
-                        cache_disk_budget=cache_disk_budget,
                     )
                     ctx = ExecutorContext(
                         workers=workers,

@@ -57,10 +57,21 @@ class ResultStore:
         return self.directory / f"shard-{shard}.jsonl"
 
     def append(self, shard: int, row: dict) -> None:
-        """Append one finished row to a shard, flushed immediately."""
+        """Append one finished row to a shard, flushed immediately.
+
+        A shard that ends in a torn line (no trailing newline) gets one
+        first, so the new row starts a line of its own instead of being
+        glued onto the fragment and lost with it.
+        """
         path = self.shard_path(shard)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row, sort_keys=True, default=str) + "\n")
+        line = json.dumps(row, sort_keys=True, default=str) + "\n"
+        with path.open("a+b") as fh:
+            end = fh.tell()
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode("utf-8"))
             fh.flush()
         injector = active_injector()
         if injector is not None:

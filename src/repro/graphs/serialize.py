@@ -4,8 +4,7 @@ Hard instances produced by the adversary are valuable artefacts (regression
 inputs, teaching material, cross-implementation checks); this module makes
 them portable.  Node labels are arbitrary nested tuples/strings in the
 construction, so they are encoded losslessly through a tagged scheme
-(:func:`encode_label` / :func:`decode_label` — also reused by the canonical
--form cache in :mod:`repro.engine.cache`).
+(:func:`encode_label` / :func:`decode_label`).
 
 The current codec is ``repro-graph-v2``: one tagged format covering
 

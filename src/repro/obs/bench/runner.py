@@ -2,16 +2,11 @@
 
 Each experiment kind declared in :mod:`repro.obs.bench.suite` maps to a
 runner function here.  Runners drive the *real* engine — serial sweeps for
-Δ-scaling, a spawn pool for worker-scaling, a throwaway on-disk store for
-cache-scaling — under a :class:`BenchContext` that times callables with the
+Δ-scaling, a spawn pool for worker-scaling, the bare canonicaliser for the
+microbench — under a :class:`BenchContext` that times callables with the
 warmup/repeat/median discipline, and return plain metric dicts plus a
 self-time profile extracted from the sweep's merged trace document
 (:func:`repro.obs.export.document_profile`).
-
-Isolation: ``$REPRO_CACHE_DIR`` is stripped for the duration of a suite run
-so an ambient shared cache cannot warm the timed sweeps, and every sweep
-here runs with a fresh in-memory LRU (plus, for cache-scaling only, an
-experiment-private temporary disk tier).
 
 This module is a sanctioned wall-clock reader (``LintConfig.clock_modules``):
 the timing clock is injected and defaults to :func:`time.perf_counter`, so
@@ -22,9 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import statistics
-import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,8 +38,7 @@ class BenchContext:
 
     :meth:`time` runs ``fn`` ``warmup`` times untimed, then ``repeats``
     times timed, and returns ``(median_seconds, last_result)``;
-    :meth:`time_once` is the single-shot primitive for experiments (like
-    cold/warm cache pairs) that must control repetition themselves.
+    :meth:`time_once` is the single-shot primitive it repeats.
 
     ``engine_opts`` are extra ``run_sweep`` keyword arguments forwarded to
     every sweep a runner launches (``backend=``, ``cell_timeout=``, ...);
@@ -156,47 +148,6 @@ def _run_worker_scaling(params: Dict, ctx: BenchContext) -> Tuple[Dict, List[dic
     return metrics, document_profile(*docs)[:_PROFILE_TOP]
 
 
-def _run_cache_scaling(params: Dict, ctx: BenchContext) -> Tuple[Dict, List[dict]]:
-    """Cold vs warm sweeps against a fresh disk tier: hit-rate scaling."""
-    from ...engine import GridSpec, run_sweep
-
-    grid = GridSpec(
-        algorithms=tuple(params.get("algorithms", ("greedy", "proposal"))),
-        deltas=tuple(params["deltas"]),
-    )
-    colds: List[float] = []
-    warms: List[float] = []
-    cold_result = warm_result = None
-    # cold/warm pairs need a fresh disk tier per iteration: a plain
-    # ctx.time() loop would leave every run after the first warm
-    for iteration in range(ctx.warmup + max(1, ctx.repeats)):
-        with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tier:
-            opts = ctx.sweep_opts("cache_dir")
-            cold_s, cold_result = ctx.time_once(
-                partial(run_sweep, grid, cache_dir=tier, **opts)
-            )
-            warm_s, warm_result = ctx.time_once(
-                partial(run_sweep, grid, cache_dir=tier, **opts)
-            )
-            if iteration >= ctx.warmup:
-                colds.append(cold_s)
-                warms.append(warm_s)
-    wall_cold = statistics.median(colds)
-    wall_warm = statistics.median(warms)
-    metrics: Dict[str, object] = {
-        "wall_s_cold": _round6(wall_cold),
-        "wall_s_warm": _round6(wall_warm),
-        "cold_hit_rate": _round6(cold_result.cache.hit_rate),
-        "warm_hit_rate": _round6(warm_result.cache.hit_rate),
-        "lookups": cold_result.cache.lookups,
-        "cells": len(cold_result.rows),
-        "rows_sha256": _rows_sha256(cold_result.rows),
-    }
-    if wall_warm > 0:
-        metrics["warm_speedup"] = _round6(wall_cold / wall_warm)
-    return metrics, document_profile(cold_result.trace, warm_result.trace)[:_PROFILE_TOP]
-
-
 def _run_canonical_microbench(params: Dict, ctx: BenchContext) -> Tuple[Dict, List[dict]]:
     """Canonicalise every root of a fixed loopy-tree batch: the isolated
     hot path of every ball-isomorphism check, without the sweep around it.
@@ -240,7 +191,6 @@ def _run_canonical_microbench(params: Dict, ctx: BenchContext) -> Tuple[Dict, Li
 RUNNERS: Dict[str, Callable[[Dict, BenchContext], Tuple[Dict, List[dict]]]] = {
     "delta-scaling": _run_delta_scaling,
     "worker-scaling": _run_worker_scaling,
-    "cache-scaling": _run_cache_scaling,
     "canonical-microbench": _run_canonical_microbench,
 }
 
@@ -274,8 +224,6 @@ def run_suite(
     the append so ``--check`` and ``--dry-run`` can run without touching
     the committed history.
     """
-    from ...engine.cache import ENV_CACHE_DIR
-
     if isinstance(suite, str):
         suite = suite_named(suite)
     ctx = BenchContext(
@@ -285,30 +233,24 @@ def run_suite(
         engine_opts=dict(engine_opts) if engine_opts else {},
     )
     commit = commit if commit is not None else current_commit()
-    # an ambient shared cache would warm the timed sweeps unpredictably
-    ambient_cache = os.environ.pop(ENV_CACHE_DIR, None)
     rows: List[dict] = []
-    try:
-        for experiment in suite.experiments:
-            metrics, profile = run_experiment(experiment, ctx)
-            rows.append(
-                make_row(
-                    suite=suite.name,
-                    experiment=experiment.name,
-                    commit=commit,
-                    metrics=metrics,
-                    profile=[
-                        {
-                            "name": row["name"],
-                            "calls": row["calls"],
-                            "self": _round6(row["self"]),
-                            "total": _round6(row["total"]),
-                        }
-                        for row in profile
-                    ],
-                )
+    for experiment in suite.experiments:
+        metrics, profile = run_experiment(experiment, ctx)
+        rows.append(
+            make_row(
+                suite=suite.name,
+                experiment=experiment.name,
+                commit=commit,
+                metrics=metrics,
+                profile=[
+                    {
+                        "name": row["name"],
+                        "calls": row["calls"],
+                        "self": _round6(row["self"]),
+                        "total": _round6(row["total"]),
+                    }
+                    for row in profile
+                ],
             )
-    finally:
-        if ambient_cache is not None:
-            os.environ[ENV_CACHE_DIR] = ambient_cache
+        )
     return rows

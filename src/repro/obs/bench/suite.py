@@ -148,21 +148,6 @@ def _worker_scaling(name: str, deltas: Tuple[int, ...], workers: Tuple[int, ...]
     )
 
 
-def _cache_scaling(name: str, deltas: Tuple[int, ...]) -> Experiment:
-    return Experiment(
-        name=name,
-        kind="cache-scaling",
-        title="CanonicalFormCache cold vs warm hit-rate scaling",
-        params={"algorithms": ("greedy", "proposal"), "deltas": deltas},
-        thresholds=(
-            Threshold("cold_hit_rate", "lower-is-worse", delta=0.02),
-            Threshold("warm_hit_rate", "lower-is-worse", delta=0.02),
-            Threshold("wall_s_cold", "higher-is-worse", ratio=2.0),
-            Threshold("warm_speedup", "lower-is-worse"),  # informational
-        ),
-    )
-
-
 def _canonical_microbench(name: str, nodes: int, seeds: Tuple[int, ...]) -> Experiment:
     return Experiment(
         name=name,
@@ -188,7 +173,6 @@ SUITES: Dict[str, Suite] = {
         experiments=(
             _delta_scaling("sweep.delta_scaling", deltas=(3, 4, 5)),
             _worker_scaling("sweep.worker_scaling", deltas=(3, 4, 5), workers=(0, 2)),
-            _cache_scaling("cache.hit_scaling", deltas=(3, 4)),
             _canonical_microbench(
                 "canonical.microbench", nodes=24, seeds=(0, 1, 2, 3, 4, 5, 6, 7)
             ),
@@ -201,7 +185,6 @@ SUITES: Dict[str, Suite] = {
             _worker_scaling(
                 "sweep.worker_scaling", deltas=(3, 4, 5, 6, 7, 8), workers=(0, 2, 4)
             ),
-            _cache_scaling("cache.hit_scaling", deltas=(3, 4, 5, 6)),
             _canonical_microbench(
                 "canonical.microbench", nodes=48, seeds=tuple(range(16))
             ),

@@ -7,7 +7,7 @@
   (``repro serve-api``).
 
 See ``docs/service.md`` for the endpoint reference, job lifecycle,
-tenancy/eviction semantics and backpressure contract.
+tenants and backpressure contract.
 """
 
 from .jobs import (

@@ -15,11 +15,11 @@ rows is reading the store's summary: the service adds queueing, tenancy
 and backpressure, never a second result format, which is what keeps job
 rows byte-identical to the equivalent CLI sweep.
 
-Tenancy rides on the multi-tenant :class:`~repro.engine.cache.
-CanonicalFormCache`: each job sweeps with its tenant's namespaced cache
-directory plus a read-through shared tier, so concurrent tenants dedupe
-canonicalisation globally without being able to read or evict each other's
-private entries (``docs/service.md``).
+A tenant is a validated name attached to each job.  It keys the per-tenant
+rate limit and the ``?tenant=`` job listing, and nothing else: every job
+sweeps with the engine's ordinary in-memory canonical-form cache, and
+the process-wide SoA plan cache carries shape plans from one job to the
+next (``docs/service.md``).
 
 Backpressure follows the engine's bounded-retry vocabulary: a full queue
 or an exhausted per-tenant token bucket raises :class:`Backpressure` with
@@ -35,6 +35,7 @@ never any model output.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from collections import deque
@@ -43,7 +44,6 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 
 from .. import api
-from ..engine.cache import validate_tenant
 from ..engine.faults import as_plan
 from ..engine.grid import GridSpec, expand
 from ..engine.store import ResultStore
@@ -57,9 +57,25 @@ __all__ = [
     "ServiceConfig",
     "SweepService",
     "TokenBucket",
+    "validate_tenant",
 ]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: tenant names appear in job documents, listings and log lines; keep
+#: them boring on purpose
+_TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
+
+
+def validate_tenant(name: str) -> str:
+    """Return ``name`` if it is a safe tenant identifier, else raise.
+
+    The whole string must match (``fullmatch``): a trailing newline is a
+    different tenant name, not an allowed suffix.
+    """
+    if not _TENANT_RE.fullmatch(name):
+        raise ValueError(f"invalid tenant {name!r}: want {_TENANT_RE.pattern}")
+    return name
 
 
 class JobCancelled(RuntimeError):
@@ -113,13 +129,10 @@ class ServiceConfig:
     ``sweep_options`` are engine execution options (``workers``,
     ``backend``, ``cell_timeout``, …) forwarded verbatim to every job's
     :func:`repro.api.sweep` call; ``rate == 0`` disables per-tenant rate
-    limiting; ``disk_budget`` bounds each cache tier directory in bytes.
+    limiting.
     """
 
     data_dir: Path = Path("service-data")
-    cache_dir: Optional[Path] = None
-    shared_cache: bool = True
-    disk_budget: Optional[int] = None
     queue_size: int = 16
     job_workers: int = 1
     rate: float = 0.0
@@ -217,8 +230,6 @@ class SweepService:
         self.data_dir = Path(self.config.data_dir)
         self.jobs_dir = self.data_dir / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        self.cache_dir = Path(self.config.cache_dir or self.data_dir / "cache")
-        self.shared_dir = self.cache_dir / "shared" if self.config.shared_cache else None
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queue: Deque[Job] = deque()
@@ -345,7 +356,7 @@ class SweepService:
         return {"id": job_id, "offset": len(events), "events": events[offset:]}
 
     def stats(self) -> dict:
-        """A JSON-ready account of queue, jobs and tenancy."""
+        """A JSON-ready account of queue, jobs and tenants."""
         with self._lock:
             states: Dict[str, int] = {state: 0 for state in JOB_STATES}
             for job in self._jobs.values():
@@ -355,9 +366,6 @@ class SweepService:
                 "jobs": states,
                 "tenants": sorted({job.tenant for job in self._jobs.values()}),
                 "workers": len(self._threads),
-                "cache_dir": str(self.cache_dir),
-                "shared_cache": self.shared_dir is not None,
-                "disk_budget": self.config.disk_budget,
             }
 
     # -- the worker loop ---------------------------------------------------
@@ -398,10 +406,6 @@ class SweepService:
         report = api.sweep(
             job.grid,
             out=str(job.directory),
-            cache_dir=str(self.cache_dir),
-            cache_tenant=job.tenant,
-            cache_shared_dir=str(self.shared_dir) if self.shared_dir else None,
-            cache_disk_budget=self.config.disk_budget,
             faults=job.faults,
             progress=progress,
             **dict(self.config.sweep_options),

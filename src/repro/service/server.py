@@ -8,7 +8,7 @@ one JSON document, every route lives under ``/v1/``.
 Route                                 Meaning
 ====================================  =========================================
 ``GET /v1/healthz``                   liveness + service stats
-``GET /v1/stats``                     queue/job/tenant/cache accounting
+``GET /v1/stats``                     queue/job/tenant accounting
 ``POST /v1/jobs``                     submit ``{"grid": {...}}``; tenant from
                                       the body's ``tenant`` or the
                                       ``X-Repro-Tenant`` header; ``202`` with
@@ -67,16 +67,32 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, code: int, message: str, headers: Optional[dict] = None, **extra) -> None:
         self._send(code, {"error": message, **extra}, headers=headers)
 
-    def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> dict:
+        """The request's JSON object body; raises ``ValueError`` naming
+        what is malformed.
+
+        A ``Content-Length`` that is not a non-negative integer is refused
+        before anything is read (``rfile.read(-1)`` would block until the
+        client hangs up), and the connection is closed, since the end of
+        the body is unknown.
+        """
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ValueError("Content-Length must be a non-negative integer")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
+        except ValueError:  # covers JSONDecodeError and UnicodeDecodeError
+            payload = None
+        if not isinstance(payload, dict):
+            raise ValueError("request body must be a JSON object")
+        return payload
 
     def _route(self) -> Tuple[str, dict]:
         parsed = urlparse(self.path)
@@ -128,9 +144,10 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/v1/jobs":
             self._error(404, f"no route {path}")
             return
-        body = self._read_body()
-        if body is None:
-            self._error(400, "request body must be a JSON object")
+        try:
+            body = self._read_body()
+        except ValueError as exc:
+            self._error(400, str(exc))
             return
         tenant = body.get("tenant") or self.headers.get("X-Repro-Tenant")
         try:

@@ -269,8 +269,7 @@ class TestSuites:
     def test_declared_suites_resolve_by_name(self):
         smoke = suite_named("smoke")
         assert {e.kind for e in smoke.experiments} == {
-            "delta-scaling", "worker-scaling", "cache-scaling",
-            "canonical-microbench",
+            "delta-scaling", "worker-scaling", "canonical-microbench",
         }
         assert suite_named("full").name == "full"
 
@@ -312,21 +311,6 @@ class TestRunSuite:
         assert (
             first[0]["metrics"]["rows_sha256"] == second[0]["metrics"]["rows_sha256"]
         )
-
-    def test_ambient_cache_dir_is_stripped_and_restored(self, tmp_path, monkeypatch):
-        marker = str(tmp_path / "ambient-cache")
-        monkeypatch.setenv("REPRO_CACHE_DIR", marker)
-        import os
-
-        seen = {}
-
-        def spying_clock():
-            seen["cache_env"] = os.environ.get("REPRO_CACHE_DIR")
-            return 0.0
-
-        run_suite(tiny_suite(), repeats=1, warmup=0, clock=spying_clock, commit="c")
-        assert seen["cache_env"] is None  # stripped while experiments run
-        assert os.environ["REPRO_CACHE_DIR"] == marker  # restored afterwards
 
     def test_injected_clock_drives_the_timings(self):
         clock = iter(range(1000))

@@ -14,11 +14,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.cache import graph_digest
-from repro.engine.grid import GridSpec
+from repro.engine.cache import CanonicalFormCache, graph_digest
+from repro.engine.grid import Cell, GridSpec, run_cell
 from repro.engine.pool import run_sweep
 from repro.graphs.digraph import POGraph
 from repro.graphs.families import random_bounded_degree_graph, random_loopy_tree
+from repro.graphs.isomorphism import use_canonical_cache
 from repro.graphs.kernel import (
     FrozenKernelError,
     GraphBuilder,
@@ -231,18 +232,19 @@ class TestJsonRoundTrips:
 class TestSweepKeying:
     def test_parallel_sweep_byte_identical_under_kernel_keys(self, tmp_path):
         grid = GridSpec(algorithms=("greedy",), deltas=(3, 4))
-        serial = run_sweep(grid, workers=0, cache_dir=tmp_path / "serial")
-        parallel = run_sweep(grid, workers=2, cache_dir=tmp_path / "parallel")
+        serial = run_sweep(grid, workers=0)
+        parallel = run_sweep(grid, workers=2)
         assert json.dumps(serial.rows, sort_keys=True) == json.dumps(
             parallel.rows, sort_keys=True
         )
         assert serial.cache.hits > 0
         assert parallel.cache.hits > 0
 
-    def test_disk_entries_are_keyed_by_rooted_kernel_digest(self, tmp_path):
-        grid = GridSpec(algorithms=("greedy",), deltas=(3,))
-        run_sweep(grid, workers=0, cache_dir=tmp_path)
-        keys = {p.stem for p in tmp_path.glob("*.json")}
-        assert keys  # something was persisted
+    def test_cache_entries_are_keyed_by_rooted_kernel_digest(self):
+        cache = CanonicalFormCache()
+        with use_canonical_cache(cache):
+            run_cell(Cell(algorithm="greedy", delta=3))
+        keys = set(cache._lru)
+        assert keys  # something was memoized
         # every key is a rooted kernel digest: 64 lowercase hex chars
         assert all(len(k) == 64 and set(k) <= set("0123456789abcdef") for k in keys)

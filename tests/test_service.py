@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.engine import GridSpec, smoke_grid
+from repro.engine.faults import PLAN_FORMAT
 from repro.obs.progress import read_progress_events
 from repro.service import (
     Backpressure,
@@ -19,6 +25,9 @@ from repro.service import (
     SweepService,
     TokenBucket,
 )
+from repro.service.jobs import validate_tenant
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class FakeClock:
@@ -80,8 +89,17 @@ class TestSubmission:
         service = make_service(tmp_path)
         with pytest.raises(ValueError):
             service.submit({"algorithms": ["no-such-algorithm"]})
-        with pytest.raises(ValueError):
-            service.submit(tiny_grid(), tenant="../escape")
+        for tenant in ("../escape", "alice\n"):
+            with pytest.raises(ValueError):
+                service.submit(tiny_grid(), tenant=tenant)
+        assert service.jobs() == []
+
+    def test_bad_tenant_name_rejected(self):
+        for name in ("", "../escape", "a/b", ".hidden", "x" * 65, "alice\n", "alice\nbob"):
+            with pytest.raises(ValueError):
+                validate_tenant(name)
+        for name in ("alice", "tenant-a", "a.b_c", "x" * 64):
+            assert validate_tenant(name) == name
 
     def test_submit_counts_cells_and_assigns_ids(self, tmp_path):
         service = make_service(tmp_path)
@@ -121,7 +139,8 @@ class TestJobLifecycle:
             service.stop()
         assert job.state == "done", job.error
         assert job.rows == job.cells == 1
-        assert job.cache is not None and "disk_evictions" in job.cache
+        assert job.cache is not None
+        assert {"hits", "misses", "lookups", "plan_hits"} <= set(job.cache)
         rows = service.rows(job.id)
         serial = api.sweep(GridSpec.from_mapping(tiny_grid()))
         assert json.dumps(rows, sort_keys=True) == json.dumps(
@@ -137,7 +156,7 @@ class TestJobLifecycle:
     def test_failed_job_records_error(self, tmp_path):
         service = make_service(tmp_path)
         faults = {
-            "format": "repro-fault-plan-v1",
+            "format": PLAN_FORMAT,
             "faults": [
                 {"kind": "raise-worker", "cell": "*", "attempt": None, "times": 10_000}
             ],
@@ -212,11 +231,11 @@ class TestHTTPService:
         finally:
             conn.close()
 
-    def test_two_concurrent_tenants_byte_identical_with_shared_hits(self, server):
+    def test_two_concurrent_tenants_byte_identical(self, server):
         # the acceptance scenario: the same smoke grid submitted by two
         # tenants concurrently over HTTP; both must reproduce the serial
-        # CLI sweep byte-for-byte, and the later tenant's sweep must have
-        # deduped canonicalisation through the shared cache tier
+        # CLI sweep byte-for-byte, and the later job's canonical-form
+        # misses must all be answered by the process-wide plan cache
         grid = smoke_grid().as_dict()
         submitted = {}
 
@@ -263,10 +282,9 @@ class TestHTTPService:
             jobs[tenant] = self.request(server, "GET", f"/v1/jobs/{job_id}")[2]
 
         # one worker thread drains the queue in order, so whichever job ran
-        # second was fully served by the first job's shared-tier writes
+        # second found every shape plan the first job built
         second = jobs[max(submitted, key=lambda t: submitted[t])]
-        assert second["cache"]["shared_hits"] > 0
-        assert second["cache"]["hits"] >= second["cache"]["shared_hits"]
+        assert second["cache"]["plan_hits"] == second["cache"]["misses"] > 0
 
         # progress is streamable per job
         for job_id in submitted.values():
@@ -287,6 +305,41 @@ class TestHTTPService:
         assert status == 200
         assert [job["id"] for job in listing["jobs"]] == [payload["id"]]
         assert self.request(server, "GET", "/v1/jobs?tenant=nobody")[2]["jobs"] == []
+        status, _, stats = self.request(server, "GET", "/v1/stats")
+        assert status == 200 and stats["tenants"] == ["alice"]
+
+    @staticmethod
+    def raw_post(server, content_length: str, body: bytes = b"") -> bytes:
+        """Send a POST with a verbatim ``Content-Length`` and return the
+        raw reply; the body is sent but the socket is left open, so a
+        server that waits for EOF times out instead of answering."""
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + content_length.encode() + b"\r\n\r\n" + body
+            )
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def test_non_integer_content_length_is_400(self, server):
+        reply = self.raw_post(server, "abc")
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"Content-Length" in reply
+        assert server.service.jobs() == []
+
+    def test_negative_content_length_is_400(self, server):
+        body = json.dumps({"grid": tiny_grid()}).encode()
+        reply = self.raw_post(server, "-1", body)
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"Content-Length" in reply
+        assert server.service.jobs() == []
 
     def test_error_paths(self, server):
         assert self.request(server, "GET", "/v1/jobs/job-999999")[0] == 404
@@ -349,3 +402,48 @@ class TestHTTPService:
             server._httpd.shutdown()
             server._httpd.server_close()
             thread.join(timeout=5)
+
+
+class TestServeApiCommand:
+    def test_inert_cache_dir_flag(self, tmp_path):
+        """``serve-api --cache-dir`` still parses (launch scripts pass it),
+        changes nothing, and the address stays the first stdout line."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve-api", "--port", "0",
+                "--data-dir", str(tmp_path / "data"),
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            first = proc.stdout.readline()
+            assert first.startswith("sweep service listening on http://"), first
+            host, port = first.split("http://", 1)[1].split("/", 1)[0].rsplit(":", 1)
+            conn = http.client.HTTPConnection(host, int(port), timeout=60)
+
+            def call(method, path, body=None):
+                conn.request(method, path, body=json.dumps(body) if body else None)
+                response = conn.getresponse()
+                return response.status, json.loads(response.read().decode("utf-8"))
+
+            status, job = call("POST", "/v1/jobs", {"grid": tiny_grid(), "tenant": "alice"})
+            assert status == 202
+            wait_for(
+                lambda: call("GET", f"/v1/jobs/{job['id']}")[1]["state"] in ("done", "failed")
+            )
+            status, payload = call("GET", f"/v1/jobs/{job['id']}/rows")
+            assert status == 200
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.communicate(timeout=30)
+        serial = api.sweep(GridSpec.from_mapping(tiny_grid()))
+        assert json.dumps(payload["rows"], sort_keys=True) == json.dumps(
+            [dict(r) for r in serial.rows], sort_keys=True
+        )
+        assert not (tmp_path / "cache").exists()

@@ -9,11 +9,8 @@ digest, and the canonicalisation plan cache recognises isomorphic shapes.
 
 from __future__ import annotations
 
-import re
-
 import pytest
 
-from repro.engine import run_sweep, smoke_grid
 from repro.graphs.digraph import POGraph
 from repro.graphs.families import (
     cycle_graph,
@@ -207,19 +204,3 @@ class TestExtractBall:
         assert again_dist is not first_dist
         again_dist[0] = 99
         assert extract_ball(g, 0, 2)[1][0] == 0
-
-
-class TestSweepDiskCacheKeys:
-    def test_parallel_and_serial_sweeps_write_identical_keys(self, tmp_path):
-        """The SoA swap must not move a single canonical-form cache key:
-        serial and process-parallel sweeps of the same grid address the
-        exact same 64-hex digest set on disk."""
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        run_sweep(smoke_grid(), workers=0, cache_dir=serial_dir)
-        run_sweep(smoke_grid(), workers=2, backend="process", cache_dir=parallel_dir)
-        serial_keys = {p.stem for p in serial_dir.glob("*.json")}
-        parallel_keys = {p.stem for p in parallel_dir.glob("*.json")}
-        assert serial_keys, "sweep wrote no disk cache entries"
-        assert serial_keys == parallel_keys
-        assert all(re.fullmatch(r"[0-9a-f]{64}", key) for key in serial_keys)
