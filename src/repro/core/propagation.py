@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..graphs.multigraph import ECGraph
+from ..matching.fm import exact_load
 
 Node = Hashable
 Color = Hashable
@@ -44,18 +45,11 @@ class PropagationError(RuntimeError):
 def node_load_of_output(g: ECGraph, outputs: NodeOutputs, v: Node) -> Fraction:
     """``y[v]`` computed from a per-node colour->weight output map.
 
-    Iterates the node's colour slots directly (:meth:`ECGraph.incident_colors`)
-    rather than materialising sorted edge records — exact :class:`Fraction`
-    addition is order-independent, so the slot order is irrelevant.
+    Reads the node's colour slots directly (:meth:`ECGraph.incident_colors`)
+    and sums them with :func:`~repro.matching.fm.exact_load`.
     """
     out = outputs[v]
-    return sum(
-        (
-            w if type(w) is Fraction else Fraction(w)
-            for w in (out[c] for c in g.incident_colors(v))
-        ),
-        Fraction(0),
-    )
+    return Fraction(*exact_load([out[c] for c in g.incident_colors(v)]))
 
 
 def disagreeing_colors(outputs1: NodeOutputs, outputs2: NodeOutputs, v: Node) -> List[Color]:

@@ -25,7 +25,7 @@ from ..graphs.lifts import is_covering_map_ec, random_two_lift, unfold_loop
 from ..graphs.loopy import is_loopy
 from ..graphs.multigraph import ECGraph
 from ..local.algorithm import ECWeightAlgorithm
-from ..matching.fm import FractionalMatching, fm_from_node_outputs
+from ..matching.fm import FractionalMatching, exact_load, fm_from_node_outputs
 from .propagation import node_load_of_output
 
 Node = Hashable
@@ -43,8 +43,14 @@ ONE = Fraction(1)
 
 
 def unsaturated_nodes(g: ECGraph, outputs: Mapping[Node, Mapping[Color, Fraction]]) -> List[Node]:
-    """Nodes whose announced incident weights sum to less than 1."""
-    return [v for v in g.nodes() if node_load_of_output(g, outputs, v) != ONE]
+    """Nodes whose announced incident weights do not sum to exactly 1."""
+    bad: List[Node] = []
+    for v in g.nodes():
+        out = outputs[v]
+        num, den = exact_load([out[c] for c in g.incident_colors(v)])
+        if num != den:
+            bad.append(v)
+    return bad
 
 
 def saturation_indicator(

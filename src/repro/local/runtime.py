@@ -212,15 +212,6 @@ def _contexts_for(
     return wrap_contexts(ctxs, network.model, algorithm, mode=sanitize_mode)
 
 
-def _state_size_estimate(states: Dict[Node, Any]) -> int:
-    """Crude size proxy: total ``repr`` length of all node states.
-
-    Only computed when a real tracer is attached (``tracer.enabled``); the
-    repr walk is far too expensive for the untraced hot path.
-    """
-    return sum(len(repr(s)) for s in states.values())
-
-
 def run(
     network: Network,
     algorithm: DistributedAlgorithm,
@@ -243,9 +234,9 @@ def run(
     and the returned result carries the full ``access_log``.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records one ``local.run`` span
-    with nested per-round ``local.round`` spans (message counts, state-size
-    estimates) and ``local.poll`` spans timing the output polls; it defaults
-    to the ambient tracer, a no-op unless installed via
+    with nested per-round ``local.round`` spans (messages delivered and
+    nodes that sent) and ``local.poll`` spans timing the output polls; it
+    defaults to the ambient tracer, a no-op unless installed via
     :func:`repro.obs.use_tracer`.
 
     All options are keyword-only; the deprecated positional spellings from
@@ -279,9 +270,11 @@ def run(
         while any(o is None for o in outputs.values()) and rounds < max_rounds:
             with tracer.span("local.round", round=rounds) as round_span:
                 inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
-                count = 0
+                count = senders = 0
                 for v in nodes:
                     sent = algorithm.send(states[v], ctxs[v])
+                    if sent:
+                        senders += 1
                     for port, message in sent.items():
                         target, tport = network.route(v, port, message)
                         inboxes[target][tport] = message
@@ -290,10 +283,7 @@ def run(
                 for v in nodes:
                     states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
                 rounds += 1
-                if tracer.enabled:
-                    round_span.set(
-                        messages=count, state_size=_state_size_estimate(states)
-                    )
+                round_span.set(messages=count, senders=senders)
             outputs = poll()
 
         halted = all(o is not None for o in outputs.values())
@@ -361,9 +351,12 @@ def run_rounds(
                 break
             with tracer.span("local.round", round=executed) as round_span:
                 inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
-                count = 0
+                count = senders = 0
                 for v in nodes:
-                    for port, message in algorithm.send(states[v], ctxs[v]).items():
+                    sent = algorithm.send(states[v], ctxs[v])
+                    if sent:
+                        senders += 1
+                    for port, message in sent.items():
                         target, tport = network.route(v, port, message)
                         inboxes[target][tport] = message
                         count += 1
@@ -371,10 +364,7 @@ def run_rounds(
                 for v in nodes:
                     states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
                 executed += 1
-                if tracer.enabled:
-                    round_span.set(
-                        messages=count, state_size=_state_size_estimate(states)
-                    )
+                round_span.set(messages=count, senders=senders)
         outputs: Dict[Node, Any] = {}
         for v in nodes:
             out = algorithm.output(states[v], ctxs[v])

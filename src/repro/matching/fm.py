@@ -10,13 +10,20 @@ propagation arguments of the lower bound are decided without tolerances.
 Degree conventions for multigraphs follow the paper (Section 3.5): on an
 EC-graph a loop contributes its weight **once** to ``y[v]``; on a PO-graph a
 directed loop contributes **twice** (once as tail, once as head).
+
+Loads are summed by :func:`exact_load` in integers — numerators over a
+common denominator — rather than by chained ``Fraction`` additions, each of
+which would normalise through a gcd.  The result is the same rational, so
+every predicate is decided exactly as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from itertools import chain
+from math import gcd
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..graphs.digraph import POGraph
 from ..graphs.multigraph import ECGraph
@@ -28,12 +35,39 @@ EdgeId = int
 __all__ = [
     "FractionalMatching",
     "InconsistentOutputError",
+    "exact_load",
     "fm_from_node_outputs",
     "po_node_load",
 ]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def exact_load(weights: Iterable) -> Tuple[int, int]:
+    """The exact sum of ``weights`` as an unreduced ``(numerator, denominator)``.
+
+    Integer numerators are added over a running common denominator (the lcm
+    of the denominators seen so far), so the pair always denotes the exact
+    rational sum, with a positive denominator.  Hence the sum is 1 iff
+    ``numerator == denominator`` and exceeds 1 iff ``numerator >
+    denominator``; ``Fraction(numerator, denominator)`` is the reduced sum.
+    Non-``Fraction`` weights are converted with ``Fraction(w)`` first.
+    """
+    num, den = 0, 1
+    for w in weights:
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        n, d = w.numerator, w.denominator
+        if d == den:
+            num += n
+        elif den % d == 0:
+            num += n * (den // d)
+        else:
+            common = den // gcd(den, d) * d
+            num = num * (common // den) + n * (common // d)
+            den = common
+    return num, den
 
 
 class InconsistentOutputError(ValueError):
@@ -50,11 +84,15 @@ class FractionalMatching:
     """An edge-weight assignment on an EC-graph, with exact arithmetic.
 
     Missing edges weigh 0.  The class is a value object: it never mutates its
-    graph, and all predicates recompute from the stored weights.
+    graph or its weights.  Node loads are computed once, on the first
+    predicate that needs them, and shared by all later ones.
     """
 
     graph: ECGraph
     weights: Dict[EdgeId, Fraction]
+    _loads: Optional[Dict[Node, Tuple[int, int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         clean: Dict[EdgeId, Fraction] = {}
@@ -71,25 +109,36 @@ class FractionalMatching:
         """Weight of edge ``eid`` (0 when unset)."""
         return self.weights.get(eid, ZERO)
 
-    def node_load(self, v: Node) -> Fraction:
-        """``y[v]``: the sum of incident edge weights (loops count once).
+    def _load_table(self) -> Dict[Node, Tuple[int, int]]:
+        """Every node's load as an :func:`exact_load` pair, in node order.
 
-        Sums over the node's slot ids (:meth:`ECGraph.incident_edge_ids`)
-        without sorting or fetching edge records — Fraction addition is
-        exact, so the order of the incident edges is irrelevant.
+        Sums over each node's slot ids (:meth:`ECGraph.incident_edge_ids`),
+        so a loop counts once; unset edges weigh 0 and are skipped.
         """
-        weights = self.weights
-        return sum(
-            (weights.get(eid, ZERO) for eid in self.graph.incident_edge_ids(v)), ZERO
-        )
+        loads = self._loads
+        if loads is None:
+            weights = self.weights
+            graph = self.graph
+            loads = self._loads = {
+                v: exact_load(
+                    [weights[eid] for eid in graph.incident_edge_ids(v) if eid in weights]
+                )
+                for v in graph.nodes()
+            }
+        return loads
+
+    def node_load(self, v: Node) -> Fraction:
+        """``y[v]``: the sum of incident edge weights (loops count once)."""
+        return Fraction(*self._load_table()[v])
 
     def is_saturated(self, v: Node) -> bool:
         """Whether ``y[v] = 1`` exactly."""
-        return self.node_load(v) == ONE
+        num, den = self._load_table()[v]
+        return num == den
 
     def saturated_nodes(self) -> List[Node]:
         """All saturated nodes."""
-        return [v for v in self.graph.nodes() if self.is_saturated(v)]
+        return [v for v, (num, den) in self._load_table().items() if num == den]
 
     def total_weight(self) -> Fraction:
         """The FM's total weight ``sum_e y(e)``."""
@@ -101,16 +150,27 @@ class FractionalMatching:
     # feasibility / maximality
     # ------------------------------------------------------------------
     def feasibility_violations(self) -> List[str]:
-        """Human-readable list of feasibility violations (empty iff feasible)."""
+        """Human-readable list of feasibility violations (empty iff feasible).
+
+        Weights outside [0, 1] come first, in edge order, then overloaded
+        nodes, in node order.
+        """
         problems: List[str] = []
-        for e in self.graph.edges():
-            w = self.weight(e.eid)
-            if not (ZERO <= w <= ONE):
-                problems.append(f"edge {e.eid} has weight {w} outside [0, 1]")
-        for v in self.graph.nodes():
-            load = self.node_load(v)
-            if load > ONE:
-                problems.append(f"node {v!r} is overloaded: y[v] = {load}")
+        # a Fraction's denominator is positive: 0 <= n/d <= 1 iff 0 <= n <= d
+        outside = {
+            eid
+            for eid, w in self.weights.items()
+            if not 0 <= w.numerator <= w.denominator
+        }
+        if outside:
+            for e in self.graph.edges():
+                if e.eid in outside:
+                    problems.append(
+                        f"edge {e.eid} has weight {self.weights[e.eid]} outside [0, 1]"
+                    )
+        for v, (num, den) in self._load_table().items():
+            if num > den:
+                problems.append(f"node {v!r} is overloaded: y[v] = {Fraction(num, den)}")
         return problems
 
     def is_feasible(self) -> bool:
@@ -122,7 +182,10 @@ class FractionalMatching:
 
         For a loop the single endpoint must be saturated.
         """
-        saturated = {v for v in self.graph.nodes() if self.is_saturated(v)}
+        loads = self._load_table()
+        saturated = {v for v, (num, den) in loads.items() if num == den}
+        if len(saturated) == len(loads):
+            return []
         return [
             e.eid
             for e in self.graph.edges()
@@ -135,7 +198,7 @@ class FractionalMatching:
 
     def is_fully_saturated(self) -> bool:
         """Whether *every* node is saturated (Lemma 2's conclusion on loopy graphs)."""
-        return all(self.is_saturated(v) for v in self.graph.nodes())
+        return all(num == den for num, den in self._load_table().values())
 
     # ------------------------------------------------------------------
     # comparison
@@ -197,11 +260,8 @@ def fm_from_node_outputs(
 
 def po_node_load(g: POGraph, weights: Mapping[EdgeId, Fraction], v: Node) -> Fraction:
     """``y[v]`` on a PO-graph: out-arcs + in-arcs; a directed loop counts twice."""
-    load = ZERO
-    for e in g.out_edges(v):
-        w = weights.get(e.eid, ZERO)
-        load += w if type(w) is Fraction else Fraction(w)
-    for e in g.in_edges(v):
-        w = weights.get(e.eid, ZERO)
-        load += w if type(w) is Fraction else Fraction(w)
-    return load
+    return Fraction(
+        *exact_load(
+            weights.get(e.eid, ZERO) for e in chain(g.out_edges(v), g.in_edges(v))
+        )
+    )

@@ -18,6 +18,11 @@ A loop's round is the echo: the node receives its own residual back and
 assigns the loop ``min(r, r) = r``, saturating itself — exactly the
 universal-cover semantics under which a loop's neighbour is a copy of
 oneself.
+
+The dynamics are integral (Hirvonen-Suomela): a residual starts at 1 and
+each round subtracts ``min`` of two residuals, so every residual and every
+weight is 0 or 1.  The state machine therefore keeps plain ``int``s and
+builds :class:`~fractions.Fraction` weights only in :meth:`output`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ Color = Hashable
 
 __all__ = ["GreedyColorFM", "greedy_color_algorithm"]
 
-ONE = Fraction(1)
+#: the announced weight for each integral weight 0 / 1
+_WEIGHT = (Fraction(0), Fraction(1))
 
 
 class GreedyColorFM(DistributedAlgorithm):
@@ -53,7 +59,7 @@ class GreedyColorFM(DistributedAlgorithm):
         return {
             "palette": list(palette),
             "step": 0,
-            "residual": ONE,
+            "residual": 1,
             "weights": {},
         }
 
@@ -84,7 +90,8 @@ class GreedyColorFM(DistributedAlgorithm):
     def output(self, state: Dict[str, Any], ctx: NodeContext) -> Optional[Dict[Color, Fraction]]:
         if state["step"] < len(state["palette"]):
             return None
-        return {c: state["weights"].get(c, Fraction(0)) for c in ctx.ports}
+        weights = state["weights"]
+        return {c: _WEIGHT[weights.get(c, 0)] for c in ctx.ports}
 
 
 def greedy_color_algorithm() -> SimulatedECWeights:

@@ -60,9 +60,10 @@ class ProposalFM(DistributedAlgorithm):
         }
 
     def _proposal(self, state: Dict[str, Any]) -> Optional[Fraction]:
-        if state["residual"] == ZERO or not state["active"]:
+        residual = state["residual"]
+        if not residual or not state["active"]:
             return None
-        return Fraction(state["residual"], len(state["active"]))
+        return Fraction(residual.numerator, residual.denominator * len(state["active"]))
 
     def send(self, state: Dict[str, Any], ctx: NodeContext) -> Dict[Any, Any]:
         if state["done"]:
@@ -81,16 +82,23 @@ class ProposalFM(DistributedAlgorithm):
         state["weights"] = dict(state["weights"])
         state["active"] = set(state["active"])
         my_proposal = self._proposal(state)
+        if my_proposal is not None:
+            mine_num, mine_den = my_proposal.numerator, my_proposal.denominator
         for port in list(state["active"]):
             theirs = inbox.get(port, _CLOSED)
-            if theirs == _CLOSED or my_proposal is None:
+            if my_proposal is None or type(theirs) is str:
                 # the edge is closed by whichever endpoint is saturated
                 state["active"].discard(port)
                 continue
-            increment = min(my_proposal, theirs)
+            # min(my_proposal, theirs), decided by cross-multiplying the
+            # (positive) denominators; ties keep my_proposal, as min does
+            if theirs.numerator * mine_den < mine_num * theirs.denominator:
+                increment = theirs
+            else:
+                increment = my_proposal
             state["weights"][port] += increment
             state["residual"] -= increment
-        if state["residual"] == ZERO:
+        if not state["residual"]:
             state["active"] = set()
         if not state["active"]:
             state["done"] = True

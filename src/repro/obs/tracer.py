@@ -15,8 +15,8 @@ the shared no-op :data:`NULL_TRACER` unless a caller installed a real one
 with :func:`use_tracer`.  The no-op tracer returns one preallocated span
 object that ignores everything, so the disabled hot path costs a dict-free
 method call and a ``with`` block — nothing measurable.  Expensive
-observations (state-size estimates and the like) must additionally be
-guarded by ``if tracer.enabled:``.
+observations (anything beyond counts the caller already holds) must
+additionally be guarded by ``if tracer.enabled:``.
 
 Determinism contract
 --------------------

@@ -48,6 +48,10 @@ class _Handler(BaseHTTPRequestHandler):
     service: SweepService  # injected by ServiceServer via a subclass attribute
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # a reply is two writes (headers, then body): with Nagle on, the body
+    # waits for the client's delayed ACK of the headers, ~40 ms per reply
+    # on a keep-alive connection; StreamRequestHandler sets TCP_NODELAY
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

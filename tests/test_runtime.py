@@ -226,7 +226,7 @@ class TestTracing:
         rounds = tracer.find("local.round")
         assert [s.attrs["round"] for s in rounds] == [0, 1]
         assert all(s.attrs["messages"] == 8 for s in rounds)
-        assert all(s.attrs["state_size"] > 0 for s in rounds)
+        assert all(s.attrs["senders"] == 4 for s in rounds)
 
     def test_metrics_counters_accumulate(self):
         from repro.obs import Tracer

@@ -308,6 +308,25 @@ class TestHTTPService:
         status, _, stats = self.request(server, "GET", "/v1/stats")
         assert status == 200 and stats["tenants"] == ["alice"]
 
+    def test_keep_alive_replies_do_not_stall(self, server):
+        # each reply is written as headers then body; with Nagle's
+        # algorithm on, the body waits for the client's delayed ACK
+        # (~40 ms a reply), so ten polls would take about 0.4 s
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/v1/healthz")  # connect outside the clock
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/v1/healthz")
+                response = conn.getresponse()
+                assert json.loads(response.read())["ok"] is True
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive replies took {elapsed:.3f} s"
+
     @staticmethod
     def raw_post(server, content_length: str, body: bytes = b"") -> bytes:
         """Send a POST with a verbatim ``Content-Length`` and return the
