@@ -212,8 +212,6 @@ def sweep(
     *,
     workers: int = 0,
     backend: Optional[str] = None,
-    hosts=None,
-    memory_budget: Optional[int] = None,
     out: Optional[str] = None,
     use_cache: bool = True,
     resume: bool = False,
@@ -232,11 +230,9 @@ def sweep(
     sharding, caching and resume semantics.
 
     ``backend`` selects the :class:`~repro.engine.executors.SweepExecutor`
-    that runs the shards — ``"inline"``, ``"process"`` or ``"socket"``
-    (``None`` keeps the workers-based default: ``workers >= 2`` spawns the
-    process pool, anything less runs inline).  ``hosts`` and
-    ``memory_budget`` configure the socket backend's shard servers and
-    per-request ball-volume budget.
+    that runs the shards — ``"inline"`` or ``"process"`` (``None`` keeps
+    the workers-based default: ``workers >= 2`` spawns the process pool,
+    anything less runs inline).
 
     ``use_cache=False`` turns off the per-shard in-memory canonical-form
     memo; rows are identical either way.
@@ -245,7 +241,9 @@ def sweep(
     :class:`repro.engine.FaultPlan`, its dict form, or a path to its JSON
     file); ``cell_timeout``/``retries``/``max_restarts`` bound the per-cell
     watchdog, the retry loop, and dead-worker recovery — see
-    ``docs/fault_injection.md``.  ``progress`` attaches a
+    ``docs/fault_injection.md``; a negative ``workers``, ``retries`` or
+    ``max_restarts`` or a non-positive ``cell_timeout`` raises
+    ``ValueError`` before any cell runs.  ``progress`` attaches a
     :class:`repro.obs.ProgressEmitter` for live heartbeat telemetry; it
     observes the sweep without changing any row.
     """
@@ -257,8 +255,6 @@ def sweep(
         grid,
         workers=workers,
         backend=backend,
-        hosts=hosts,
-        memory_budget=memory_budget,
         out_dir=out,
         use_cache=use_cache,
         resume=resume,
@@ -280,7 +276,6 @@ def bench(
     commit: Optional[str] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    hosts=None,
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     max_restarts: Optional[int] = None,
@@ -305,19 +300,15 @@ def bench(
     overrides = {
         "workers": workers,
         "backend": backend,
-        "hosts": hosts,
         "cell_timeout": cell_timeout,
         "retries": retries,
         "max_restarts": max_restarts,
     }
     engine_opts = {key: value for key, value in overrides.items() if value is not None}
     if engine_opts:
-        from .engine.executors import ExecutionOptions, parse_hosts
+        from .engine.executors import ExecutionOptions
 
-        checked = dict(engine_opts)
-        if "hosts" in checked:
-            checked["hosts"] = tuple(parse_hosts(checked["hosts"]))
-        ExecutionOptions(**{"workers": 1, **checked})  # shared validation
+        ExecutionOptions(**{"workers": 1, **engine_opts})  # shared validation
     rows = run_suite(
         suite, repeats=repeats, warmup=warmup, commit=commit, engine_opts=engine_opts
     )

@@ -26,9 +26,6 @@ Subcommands (``python -m repro <subcommand> --help`` for details):
                   ``BENCH_TRAJECTORY.jsonl`` history, gate regressions
                   against it (``--check``), or render the trend dashboard
                   (``--report``);
-* ``serve``     — run one socket-backend shard server; point a sweep at it
-                  (possibly on another host) with
-                  ``sweep --backend socket --hosts HOST:PORT,...``;
 * ``serve-api`` — run the sweep-as-a-service HTTP/JSON job server
                   (``repro.service``): queued GridSpec submissions over
                   ``POST /v1/jobs``, per-tenant rate limits, per-job
@@ -43,8 +40,8 @@ Subcommands share one flag vocabulary wired through
 :func:`add_common_options` — ``--json`` (bare prints JSON to stdout, with a
 PATH writes the file), ``--delta``, ``--chain``, ``--out``, and (for the
 engine-driving subcommands ``sweep`` and ``bench``) the execution-control
-group ``--workers`` / ``--backend`` / ``--hosts`` / ``--cell-timeout`` /
-``--retries`` / ``--max-restarts``, validated in one place by
+group ``--workers`` / ``--backend`` / ``--cell-timeout`` / ``--retries`` /
+``--max-restarts``, validated in one place by
 :class:`repro.engine.executors.ExecutionOptions`.
 """
 
@@ -101,7 +98,7 @@ def add_common_options(
 
     ``execution=True`` adds the execution-control group shared by the
     engine-driving subcommands (``sweep``, ``bench``): ``--workers``,
-    ``--backend``, ``--hosts``, ``--cell-timeout``, ``--retries`` and
+    ``--backend``, ``--cell-timeout``, ``--retries`` and
     ``--max-restarts``, validated together by
     :func:`_execution_options` /
     :class:`repro.engine.executors.ExecutionOptions`.
@@ -151,16 +148,8 @@ def add_common_options(
             "--backend",
             choices=sorted(BACKENDS),
             default=None,
-            help="sweep executor backend: inline (in-process, zero spawn), "
-            "process (spawn pool), socket (shard servers over TCP; see "
-            "the serve subcommand). Default: picked from --workers",
-        )
-        group.add_argument(
-            "--hosts",
-            default=None,
-            metavar="HOST:PORT,...",
-            help="socket backend only: external shard servers to dispatch "
-            "to (default: self-hosted loopback servers)",
+            help="sweep executor backend: inline (in-process, zero spawn) "
+            "or process (spawn pool). Default: picked from --workers",
         )
         group.add_argument(
             "--cell-timeout",
@@ -192,16 +181,14 @@ def _execution_options(args):
 
     All constraints live in :class:`repro.engine.executors.ExecutionOptions`
     so ``sweep`` and ``bench`` reject bad values identically (``--workers
-    0``, negative timeouts, ``--hosts`` without ``--backend socket``, ...).
+    0``, negative timeouts, negative retry budgets, ...).
     """
-    from .engine.executors import ExecutionOptions, parse_hosts
+    from .engine.executors import ExecutionOptions
 
     try:
-        hosts = tuple(parse_hosts(args.hosts)) if args.hosts else ()
         return ExecutionOptions(
             workers=args.workers,
             backend=args.backend,
-            hosts=hosts,
             cell_timeout=args.cell_timeout,
             retries=args.retries,
             max_restarts=args.max_restarts,
@@ -485,33 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per experiment in the --report dashboard (default 8)",
     )
     add_common_options(bench, json_flag=True, execution=True)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run one socket-backend shard server (pair with "
-        "sweep --backend socket --hosts HOST:PORT,...)",
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; 0.0.0.0 to serve other "
-        "hosts)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="port to bind (default 0: an OS-assigned free port, printed "
-        "on startup)",
-    )
-    serve.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after serving N shard requests (default: run until "
-        "interrupted)",
-    )
 
     serve_api = sub.add_parser(
         "serve-api",
@@ -906,27 +866,6 @@ def _parse_ints(spec: str, flag: str) -> tuple:
         raise SystemExit(f"{flag}: bad value {spec!r} (want N,N,... or A..B)") from None
 
 
-def _cmd_serve(args) -> int:
-    """Run one socket-backend shard server until interrupted."""
-    from .engine.executors import ShardServer
-
-    server = ShardServer(host=args.host, port=args.port)
-    host, port = server.address
-    print(f"shard server listening on {host}:{port}", flush=True)
-    print(
-        f"dispatch to it with: repro sweep --backend socket --hosts {host}:{port}",
-        flush=True,
-    )
-    try:
-        server.serve_forever(max_requests=args.max_requests)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    print(f"shard server stopped after {server.requests_served} request(s)")
-    return 0
-
-
 def _cmd_serve_api(args) -> int:
     """Run the sweep-as-a-service HTTP job server until interrupted."""
     from .service import ServiceConfig, ServiceServer, SweepService
@@ -1109,12 +1048,7 @@ def _cmd_bench(args) -> int:
         repeats=args.repeats,
         warmup=args.warmup,
         commit=args.commit,
-        workers=options.workers,
-        backend=options.backend,
-        hosts=list(options.hosts) or None,
-        cell_timeout=options.cell_timeout,
-        retries=options.retries,
-        max_restarts=options.max_restarts,
+        **options.engine_kwargs(),
     )
     rows = list(report.rows)
 
@@ -1261,7 +1195,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": _cmd_lint,
         "trace": _cmd_trace,
         "sweep": _cmd_sweep,
-        "serve": _cmd_serve,
         "serve-api": _cmd_serve_api,
         "bench": _cmd_bench,
         "verify": _cmd_verify,

@@ -15,11 +15,10 @@ process-parallel sweep:
   cells, merges per-shard traces into one document, and survives dead
   workers, hung cells and transient failures via bounded retries, per-cell
   watchdogs and shard reassignment (see ``docs/fault_injection.md``);
-* :mod:`repro.engine.executors` — the pluggable
+* :mod:`repro.engine.executors` — the two
   :class:`~repro.engine.executors.SweepExecutor` backends the driver
-  dispatches shards to: ``inline`` (in-process asyncio, zero spawn),
-  ``process`` (the spawn-context pool) and ``socket`` (multi-host shard
-  servers over JSON framing with per-worker memory budgeting);
+  dispatches shards to: ``inline`` (in-process, zero spawn) and
+  ``process`` (the spawn-context pool);
 * :mod:`repro.engine.faults` — a deterministic fault-injection layer (seeded
   :class:`~repro.engine.faults.FaultPlan`) that replays worker kills and
   crashes, shard truncation and cell stalls so every recovery path is
@@ -33,12 +32,8 @@ from .cache import CacheStats, CanonicalFormCache, graph_digest
 from .executors import (
     BACKENDS,
     ExecutionOptions,
-    ExecutorCapabilities,
-    ExecutorContext,
     InlineExecutor,
     ProcessExecutor,
-    ShardServer,
-    SocketExecutor,
     SweepExecutor,
     as_executor,
 )
@@ -57,8 +52,6 @@ __all__ = [
     "CellExecutionError",
     "CellTimeout",
     "ExecutionOptions",
-    "ExecutorCapabilities",
-    "ExecutorContext",
     "Fault",
     "FaultInjector",
     "FaultPlan",
@@ -67,8 +60,6 @@ __all__ = [
     "InlineExecutor",
     "ProcessExecutor",
     "ResultStore",
-    "ShardServer",
-    "SocketExecutor",
     "SweepExecutor",
     "SweepResult",
     "as_executor",

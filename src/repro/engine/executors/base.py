@@ -3,22 +3,18 @@
 :func:`repro.engine.run_sweep` owns everything a sweep *means* — sharding,
 the :class:`~repro.engine.store.ResultStore`, progress emission, resume and
 dedup bookkeeping, and the dead-worker recovery policy.  An executor owns
-exactly one thing: getting a shard payload executed somewhere and the
-outcome back.  Three backends ship (``docs/engine.md`` documents how to
-write a fourth):
+exactly one thing: running a round of shard payloads and handing the
+outcomes back.  Two backends ship:
 
-* :class:`~repro.engine.executors.inline.InlineExecutor` — in-process on an
-  asyncio loop, zero spawn; the default for smoke grids and unit tests;
-* :class:`~repro.engine.executors.process.ProcessExecutor` — the original
-  spawn-context process pool, now a thin adapter;
-* :class:`~repro.engine.executors.sockets.SocketExecutor` — a stdlib
-  multi-host backend speaking JSON over sockets, with per-worker memory
-  budgeting.
+* :class:`~repro.engine.executors.inline.InlineExecutor` — in this
+  process, one shard after another; the serial baseline and the default
+  for smoke grids and unit tests;
+* :class:`~repro.engine.executors.process.ProcessExecutor` — a
+  spawn-context process pool.
 
-The conformance contract (``tests/test_executors.py``) is the same for all
-of them: rows byte-identical to the serial baseline, and every fault kind
-the backend's :class:`ExecutorCapabilities` declares must be survived with
-byte-identical rows.
+The conformance contract (``tests/test_executors.py``) is the same for
+both: rows byte-identical to the serial baseline, and every fault kind in
+:data:`~repro.engine.faults.FAULT_KINDS` survived with byte-identical rows.
 """
 
 from __future__ import annotations
@@ -26,16 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..faults import FAULT_KINDS
-from .shard import run_shard
+from ..faults import InjectedWorkerError
 
 __all__ = [
     "BACKENDS",
     "ExecutionOptions",
-    "ExecutorCapabilities",
-    "ExecutorContext",
     "SweepExecutor",
     "as_executor",
+    "check_execution",
 ]
 
 #: one shard's result: ``(shard_index, rows, trace_document, cache_stats)``
@@ -44,128 +38,73 @@ ShardOutcome = Tuple[int, List[dict], dict, dict]
 ShardFailure = Tuple[dict, BaseException]
 
 
-@dataclass(frozen=True)
-class ExecutorCapabilities:
-    """What a backend can do; the driver adapts its policy to these flags.
-
-    Attributes
-    ----------
-    parallel:
-        The backend runs a round's shards concurrently.  ``False`` makes
-        the driver hand it one shard at a time (the serial baseline path).
-    separate_process:
-        Shards execute in their own OS process.  Only then may the fault
-        injector arm the *real* ``SIGKILL`` trigger for ``kill-worker``
-        faults; in-process backends degrade the kill to a raised
-        :class:`~repro.engine.faults.InjectedWorkerError`, which exercises
-        the same coordinator recovery path without shooting the test
-        process.
-    supports_on_row:
-        The per-row progress callback reaches the driver live.  Backends
-        without it are observed by the store-polling progress monitor
-        instead; rows are byte-identical either way.
-    fault_kinds:
-        The fault classes this backend declares survivable — its
-        conformance contract.  The mandatory trigger points
-        (``on_worker_cell``, ``on_cell_body``, ``on_store_append``) live
-        in the shared shard runtime, so every backend inherits them; only
-        the kill *mechanism* (signal vs raise) is backend-specific.
-    """
-
-    parallel: bool
-    separate_process: bool
-    supports_on_row: bool
-    fault_kinds: frozenset = frozenset(FAULT_KINDS)
-
-
 class SweepExecutor:
-    """Base class / protocol every sweep backend implements.
+    """Base class every sweep backend implements.
 
-    The driver's calls, in order:
+    ``parallel`` is the one property the driver adapts to.  A parallel
+    backend gets a round's shards at once and runs each in its own OS
+    process: only there may a ``kill-worker`` fault send a real
+    ``SIGKILL``, and rows reach the driver only when a shard finishes, so
+    progress is polled from the result store.  A serial backend gets one
+    shard per round, runs it in this process (a ``kill-worker`` fault
+    raises :class:`~repro.engine.faults.InjectedWorkerError` instead), and
+    reports every row live through ``on_row``.
 
-    1. :meth:`start` once, before the first round;
-    2. :meth:`run_round` once per (recovery) round with that round's shard
-       payloads — the default implementation submits them sequentially
-       through :meth:`submit_shard`, so a minimal backend only overrides
-       that one primitive;
-    3. :meth:`is_worker_loss` to triage each failure (worker death, which
-       recovery reassigns, vs a named cell error, which aborts);
-    4. :meth:`close` exactly once, however the sweep ends.
-
-    ``run_round`` must never raise for a shard failure: it returns
-    ``(outcomes, failures)`` and lets the driver apply the recovery policy.
+    The driver calls :meth:`run_round` once per (recovery) round and
+    :meth:`is_worker_loss` to triage each failure.  ``run_round`` must
+    never raise for a shard failure: it returns ``(outcomes, failures)``
+    and lets the driver apply the recovery policy.
     """
 
     #: registry name; also reported in ``SweepResult.backend``
     name: str = "base"
     #: shard fan-out of a parallel round (1 for serial backends)
     width: int = 1
-    capabilities = ExecutorCapabilities(
-        parallel=False, separate_process=False, supports_on_row=True
-    )
-
-    def start(self, ctx: "ExecutorContext") -> None:
-        """Lifecycle hook: acquire backend resources before the first round."""
-
-    def submit_shard(self, payload: dict, ctx: "ExecutorContext") -> ShardOutcome:
-        """Execute one shard payload and return its outcome.
-
-        The base implementation runs the shared shard runtime in-process,
-        forwarding the progress callback when the capabilities allow it.
-        """
-        on_row = ctx.on_row if self.capabilities.supports_on_row else None
-        return run_shard(payload, on_row)
+    #: shards run concurrently, each in its own process
+    parallel: bool = False
 
     def run_round(
-        self, payloads: List[dict], ctx: "ExecutorContext"
+        self, payloads: List[dict], on_row: Optional[Callable[[dict, object], None]]
     ) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
-        """Execute one round of shards; never raises on shard failure."""
-        outcomes: List[ShardOutcome] = []
-        failures: List[ShardFailure] = []
-        for payload in payloads:
-            try:
-                outcomes.append(self.submit_shard(payload, ctx))
-            except BaseException as exc:  # noqa: BLE001 - triaged by the driver
-                failures.append((payload, exc))
-        return outcomes, failures
+        """Execute one round of shards; never raises on shard failure.
+
+        ``on_row`` is the sweep's per-row progress callback on serial
+        rounds and ``None`` on parallel ones.
+        """
+        raise NotImplementedError
 
     def is_worker_loss(self, exc: BaseException) -> bool:
         """Whether a shard failure means the worker itself died."""
-        from ..faults import InjectedWorkerError
-
         return isinstance(exc, InjectedWorkerError)
 
-    def close(self) -> None:
-        """Lifecycle hook: release backend resources; idempotent."""
 
-
-@dataclass(frozen=True)
-class ExecutorContext:
-    """Per-round driver context handed to executor calls.
-
-    ``on_row`` is the sweep's per-row progress callback (``None`` on rounds
-    observed by the polling monitor); ``workers`` is the requested worker
-    count, which backends may use to size their pools.
-    """
-
-    workers: int = 0
-    on_row: Optional[Callable[[dict, object], None]] = None
+def check_execution(
+    workers: int, cell_timeout: Optional[float], retries: int, max_restarts: int
+) -> None:
+    """The execution-control checks every sweep passes, by any entry point."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if max_restarts < 0:
+        raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
 
 
 @dataclass(frozen=True)
 class ExecutionOptions:
     """The validated execution-control vocabulary shared by sweep and bench.
 
-    One object backs both CLI subcommands (``--workers``, ``--backend``,
-    ``--hosts``, ``--cell-timeout``, ``--retries``, ``--max-restarts``) and
-    the :mod:`repro.api` facade, so the constraints are checked in exactly
-    one place: at least one worker, non-negative timeouts and budgets, a
-    known backend name, and ``hosts`` only where it means something.
+    One object backs the CLI flags (``--workers``, ``--backend``,
+    ``--cell-timeout``, ``--retries``, ``--max-restarts``) and
+    :func:`repro.api.bench`: at least one worker, a known backend name,
+    and the checks of :func:`check_execution` that ``run_sweep`` applies
+    to every sweep.
     """
 
     workers: int = 1
     backend: Optional[str] = None
-    hosts: Tuple[Tuple[str, int], ...] = ()
     cell_timeout: Optional[float] = None
     retries: int = 1
     max_restarts: int = 2
@@ -181,66 +120,39 @@ class ExecutionOptions:
                 f"unknown backend {self.backend!r}; choose from "
                 f"{', '.join(sorted(BACKENDS))}"
             )
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError(f"cell_timeout must be positive, got {self.cell_timeout}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.hosts and self.backend != "socket":
-            raise ValueError(
-                f"hosts only apply to the socket backend, not {self.backend!r}"
-            )
+        check_execution(self.workers, self.cell_timeout, self.retries, self.max_restarts)
 
     def engine_kwargs(self) -> dict:
         """The ``run_sweep`` keyword arguments this option set spells."""
-        kwargs = {
+        return {
             "workers": self.workers,
             "backend": self.backend,
             "cell_timeout": self.cell_timeout,
             "retries": self.retries,
             "max_restarts": self.max_restarts,
         }
-        if self.hosts:
-            kwargs["hosts"] = list(self.hosts)
-        return kwargs
 
 
-def _make_inline(workers: int, hosts, memory_budget) -> SweepExecutor:
+def _make_inline(workers: int) -> SweepExecutor:
     from .inline import InlineExecutor
 
     return InlineExecutor()
 
 
-def _make_process(workers: int, hosts, memory_budget) -> SweepExecutor:
+def _make_process(workers: int) -> SweepExecutor:
     from .process import ProcessExecutor
 
     return ProcessExecutor(workers=workers)
-
-
-def _make_socket(workers: int, hosts, memory_budget) -> SweepExecutor:
-    from .sockets import SocketExecutor
-
-    if memory_budget is not None:
-        return SocketExecutor(workers=workers, hosts=hosts, memory_budget=memory_budget)
-    return SocketExecutor(workers=workers, hosts=hosts)
 
 
 #: backend name -> factory; the CLI's ``--backend`` choices come from here
 BACKENDS = {
     "inline": _make_inline,
     "process": _make_process,
-    "socket": _make_socket,
 }
 
 
-def as_executor(
-    backend,
-    *,
-    workers: int = 0,
-    hosts=None,
-    memory_budget=None,
-) -> SweepExecutor:
+def as_executor(backend, *, workers: int = 0) -> SweepExecutor:
     """Resolve ``backend`` (name, instance or ``None``) to an executor.
 
     ``None`` keeps the historical behaviour: ``workers >= 2`` selects the
@@ -257,10 +169,4 @@ def as_executor(
         raise ValueError(
             f"unknown backend {backend!r}; choose from {', '.join(sorted(BACKENDS))}"
         ) from None
-    if hosts is not None and backend != "socket":
-        raise ValueError(f"hosts only apply to the socket backend, not {backend!r}")
-    if memory_budget is not None and backend != "socket":
-        raise ValueError(
-            f"memory_budget only applies to the socket backend, not {backend!r}"
-        )
-    return factory(workers, hosts, memory_budget)
+    return factory(workers)

@@ -5,7 +5,7 @@ built on the **spawn** context: workers import the package fresh, so no
 installed tracer, cache, or other interpreter state leaks across the
 process boundary.  Because shards really do live in their own processes,
 this is the one shipped backend whose ``kill-worker`` faults arm the real
-``SIGKILL`` trigger (``separate_process=True``) — a dead worker surfaces
+``SIGKILL`` trigger (``parallel=True``) — a dead worker surfaces
 as ``BrokenProcessPool`` on every future the broken pool still owed, which
 :meth:`ProcessExecutor.is_worker_loss` maps to the driver's reassignment
 policy.
@@ -19,7 +19,7 @@ import multiprocessing
 from typing import List, Tuple
 
 from ..faults import InjectedWorkerError
-from .base import ExecutorCapabilities, ExecutorContext, ShardFailure, ShardOutcome, SweepExecutor
+from .base import ShardFailure, ShardOutcome, SweepExecutor
 from .shard import run_shard
 
 __all__ = ["ProcessExecutor"]
@@ -29,20 +29,14 @@ class ProcessExecutor(SweepExecutor):
     """Ship each shard to a spawned pool worker."""
 
     name = "process"
-    capabilities = ExecutorCapabilities(
-        parallel=True,
-        separate_process=True,
-        supports_on_row=False,
-    )
+    parallel = True
 
     def __init__(self, workers: int = 2):
         #: pool width; an explicitly requested process backend always gets
         #: a real pool, so fewer than two workers still spawn two
         self.width = max(2, workers)
 
-    def run_round(
-        self, payloads: List[dict], ctx: ExecutorContext
-    ) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
+    def run_round(self, payloads, on_row) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
         outcomes: List[ShardOutcome] = []
         failures: List[ShardFailure] = []
         if not payloads:

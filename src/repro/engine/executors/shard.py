@@ -1,22 +1,22 @@
 """The backend-independent shard runtime every executor drives.
 
 A *shard* is the unit of work a :class:`~repro.engine.executors.base.
-SweepExecutor` ships somewhere: a JSON-ready payload dict naming the cells
-to run, the result store to use, whether to memoize canonical forms, and
-the fault/watchdog/retry discipline to apply.  :func:`run_shard` is the one function that executes
-it — in this process (inline backend), in a spawned pool worker (process
-backend) or inside a shard server reached over a socket (socket backend).
-Because every backend funnels through the same runtime, the byte-identity
-and fault-tolerance invariants are properties of the *payload*, not of any
-particular backend.
+SweepExecutor` runs: a JSON-ready payload dict naming the cells to run,
+the result store to use, whether to memoize canonical forms, and the
+fault/watchdog/retry discipline to apply.  :func:`run_shard` is the one
+function that executes it — in this process (inline backend) or in a
+spawned pool worker (process backend).  Because both backends funnel
+through the same runtime, the byte-identity and fault-tolerance
+invariants are properties of the *payload*, not of any particular
+backend.
 
 The runtime installs the ambient tracer/fault-injector/cache hooks for the
 duration of a shard.  Those hooks are deliberately plain module globals
 (:mod:`repro.obs.tracer`, :mod:`repro.engine.faults`), so two shards must
 never execute concurrently *inside one process*: :data:`_AMBIENT_LOCK`
 serialises them.  Process workers are unaffected (one shard per process);
-the lock is what makes in-process backends — inline rounds, loopback shard
-servers — safe without contextvar plumbing.
+the lock is what keeps inline sweeps started from several threads — the
+job service's queue-drain workers — safe without contextvar plumbing.
 
 ``time.sleep`` here implements only the deterministic retry backoff and
 the watchdog join timeout and never feeds any model output; the module is
@@ -125,6 +125,8 @@ def _execute_cell(
     Raises :class:`CellExecutionError` when the last attempt still fails;
     :class:`InjectedWorkerError` passes straight through — a simulated
     worker crash is the *coordinator's* problem, not a per-cell retry.
+    ``run_sweep`` guarantees ``retries >= 0``, so at least one attempt runs
+    and ``last`` is set whenever the loop falls through.
     """
     last: Optional[BaseException] = None
     for attempt in range(retries + 1):
@@ -140,7 +142,7 @@ def _execute_cell(
             last = exc
         except Exception as exc:  # noqa: BLE001 - every failure is named below
             last = exc
-    raise CellExecutionError.for_cell(cell, last if last is not None else RuntimeError("unknown"))
+    raise CellExecutionError.for_cell(cell, last)
 
 
 def _run_cell_watchdogged(
@@ -192,10 +194,9 @@ def run_shard(payload: dict, on_row=None) -> Tuple[int, List[dict], dict, dict]:
 
     Returns ``(shard_index, rows, trace_document, cache_stats)``.  Must stay
     a module-level function: the process backend's spawn context pickles it
-    by reference, and the socket backend's shard server dispatches to it by
-    name.  ``on_row`` is an in-process-only hook — serial rounds pass the
-    sweep's progress callback; remote backends always run with the default
-    ``None`` (a callback could not cross a process or socket boundary).
+    by reference.  ``on_row`` is an in-process-only hook — serial rounds
+    pass the sweep's progress callback; pool workers always run with the
+    default ``None`` (a callback could not cross the process boundary).
     """
     shard_index = payload["shard"]
     cells = [Cell.from_dict(d) for d in payload["cells"]]
@@ -248,11 +249,7 @@ def shard_payloads(
     retries: int,
     in_worker: bool,
 ) -> List[dict]:
-    """JSON-ready payload dicts for one round of shards.
-
-    Everything a payload carries survives ``json.dumps`` round-trips, which
-    is what lets the socket backend ship shards over the wire unchanged.
-    """
+    """JSON-ready payload dicts for one round of shards."""
     return [
         {
             "shard": index,

@@ -5,12 +5,11 @@ splitting pending cells round-robin into shards, the
 :class:`~repro.engine.store.ResultStore`, progress emission, resume/dedup
 bookkeeping, and the dead-worker recovery policy.  *Where* a shard runs is
 delegated to a :class:`~repro.engine.executors.SweepExecutor` backend
-(``backend=``): ``inline`` executes in-process on an asyncio loop (the
-serial baseline), ``process`` maps shards over a spawn-context pool, and
-``socket`` ships them to shard servers over JSON framing — see
-:mod:`repro.engine.executors` and ``docs/engine.md``.
+(``backend=``): ``inline`` executes in-process, one shard after another
+(the serial baseline), and ``process`` maps shards over a spawn-context
+pool — see :mod:`repro.engine.executors` and ``docs/engine.md``.
 
-Every backend funnels through the same shard runtime
+Both backends funnel through the same shard runtime
 (:mod:`repro.engine.executors.shard`), so the invariants are uniform: each
 shard runs under its own :class:`repro.obs.Tracer` and an installed
 :class:`~repro.engine.cache.CanonicalFormCache`, appends rows to its store
@@ -28,7 +27,7 @@ The engine assumes workers can die, cells can hang, and disks can lie:
   a bounded, deterministically backed-off retry loop (``retries``); a cell
   whose error survives every retry surfaces as a :class:`CellExecutionError`
   that **names the failing cell** instead of a bare pool teardown;
-* a shard whose worker dies (SIGKILL, crash, vanished host) is detected by
+* a shard whose worker dies (SIGKILL, crash) is detected by
   the driver via the backend's ``is_worker_loss`` triage, which reads back
   whatever rows the dead worker had already flushed and **reassigns only
   the missing cells** to a fresh round (``max_restarts`` rounds,
@@ -56,7 +55,7 @@ from ..obs.export import merge_trace_documents
 from ..obs.progress import NULL_PROGRESS, NullProgressEmitter
 from ..obs.tracer import current_tracer
 from .cache import CacheStats
-from .executors.base import ExecutorContext, SweepExecutor, as_executor
+from .executors.base import SweepExecutor, as_executor, check_execution
 from .executors.shard import (
     CellExecutionError,
     CellTimeout,
@@ -120,8 +119,6 @@ def run_sweep(
     *,
     workers: int = 0,
     backend: Union[str, SweepExecutor, None] = None,
-    hosts=None,
-    memory_budget: Optional[int] = None,
     out_dir=None,
     use_cache: bool = True,
     resume: bool = False,
@@ -146,17 +143,8 @@ def run_sweep(
         and ``n >= 2`` selects the process pool — the historical behaviour.
     backend:
         Which :class:`~repro.engine.executors.SweepExecutor` runs the
-        shards: ``"inline"``, ``"process"``, ``"socket"``, an executor
-        instance, or ``None`` for the workers-based default above.
-    hosts:
-        Socket backend only: shard servers to dispatch to, as
-        ``"host:port,host:port"`` or a list of ``(host, port)`` pairs.
-        Without hosts the socket backend self-hosts loopback servers.
-    memory_budget:
-        Socket backend only: per-request budget in estimated ball-volume
-        units (:mod:`repro.engine.executors.sockets`); Δ-large shards are
-        split into sequential batches under this budget so one worker is
-        never handed more resident witness balls than it can hold.
+        shards: ``"inline"``, ``"process"``, an executor instance, or
+        ``None`` for the workers-based default above.
     out_dir:
         Results directory (JSONL shards, ``summary.json``, ``trace.json``).
         ``None`` keeps everything in memory — such a sweep cannot resume,
@@ -184,11 +172,15 @@ def run_sweep(
         cells the lost shards had not yet persisted (default 2).
     progress:
         A :class:`repro.obs.progress.ProgressEmitter` fed heartbeat events
-        while the sweep runs (rounds on a backend with per-row callbacks
-        report per row; other rounds are polled from the result store).
-        The emitter only observes the sweep — rows are byte-identical with
-        or without it.  ``None`` (default) uses the shared no-op emitter.
+        while the sweep runs (serial rounds report per row; parallel rounds
+        are polled from the result store).  The emitter only observes the
+        sweep — rows are byte-identical with or without it.  ``None``
+        (default) uses the shared no-op emitter.
+
+    Raises ``ValueError`` on a negative ``workers``, ``retries`` or
+    ``max_restarts``, a non-positive ``cell_timeout`` or an unknown backend.
     """
+    check_execution(workers, cell_timeout, retries, max_restarts)
     if grid is None:
         spec = GridSpec()
     elif isinstance(grid, GridSpec):
@@ -201,8 +193,8 @@ def run_sweep(
     cell_keys = {cell.key for cell in cells}
     store = ResultStore(out_dir) if out_dir else None
 
-    executor = as_executor(backend, workers=workers, hosts=hosts, memory_budget=memory_budget)
-    parallel = executor.capabilities.parallel
+    executor = as_executor(backend, workers=workers)
+    parallel = executor.parallel
     # the serial fallback executor: used for every round of a non-parallel
     # backend and for the last recovery round of a parallel one
     if parallel:
@@ -229,7 +221,7 @@ def run_sweep(
     live = {"done": len(done)}
 
     def _note_row(row, cache_stats) -> None:
-        # per-row-capable rounds only: exact heartbeats (closure-local state)
+        # serial rounds only: exact heartbeats (closure-local state)
         live["done"] += 1
         progress.update(
             live["done"],
@@ -244,7 +236,6 @@ def run_sweep(
     progress.start(total=len(cells), resumed=len(done))
     if monitor is not None:
         monitor.start()
-    executor.start(ExecutorContext(workers=workers))
     try:
         with tracer.span(
             "engine.sweep",
@@ -271,13 +262,11 @@ def run_sweep(
                     payloads = shard_payloads(
                         shards, store, use_cache, plan, round_,
                         cell_timeout, retries,
-                        in_worker=parallel_round and active.capabilities.separate_process,
+                        in_worker=parallel_round,
                     )
-                    ctx = ExecutorContext(
-                        workers=workers,
-                        on_row=_note_row if active.capabilities.supports_on_row else None,
+                    outcomes, failures = active.run_round(
+                        payloads, None if parallel_round else _note_row
                     )
-                    outcomes, failures = active.run_round(payloads, ctx)
                     for _, rows, doc, stats in sorted(outcomes, key=lambda item: item[0]):
                         for row in rows:
                             collected.setdefault(row["key"], row)
@@ -368,9 +357,6 @@ def run_sweep(
         )
         return result
     finally:
-        executor.close()
-        if fallback is not executor:
-            fallback.close()
         if monitor is not None:
             monitor.stop()
         progress.close()
@@ -379,8 +365,8 @@ def run_sweep(
 class _ProgressMonitor:
     """Background poller feeding heartbeats while parallel shards run.
 
-    The driver cannot observe remote rows directly (shards only report
-    back when they finish), so parallel-round heartbeats poll the result
+    The driver cannot observe a pool worker's rows directly (shards only
+    report back when they finish), so parallel-round heartbeats poll the result
     store's cheap line count — what the workers have flushed so far.  That
     count can legitimately *exceed* the sweep's cell total (torn lines and
     duplicate cells from a recovered worker both count as lines), so the

@@ -87,6 +87,20 @@ class TestApiSweep:
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.backend = "process"
 
+    @pytest.mark.parametrize(
+        ("option", "value", "message"),
+        [
+            ("retries", -1, "retries must be >= 0"),
+            ("cell_timeout", 0, "cell_timeout must be positive"),
+            ("cell_timeout", -1, "cell_timeout must be positive"),
+            ("max_restarts", -1, "max_restarts must be >= 0"),
+            ("workers", -3, "workers must be >= 0"),
+        ],
+    )
+    def test_bad_execution_options_rejected(self, option, value, message):
+        with pytest.raises(ValueError, match=message):
+            api.sweep({"algorithms": ["greedy"], "deltas": [3]}, **{option: value})
+
     def test_facade_reexported_at_package_top_level(self):
         import repro
 

@@ -258,15 +258,12 @@ class TestExecutionOptionsGroup:
             main([command, "--retries", "-1"])
 
     @pytest.mark.parametrize("command", ["sweep", "bench"])
-    def test_hosts_require_socket_backend(self, command):
-        with pytest.raises(SystemExit, match="hosts only apply to the socket"):
-            main([command, "--hosts", "127.0.0.1:9"])
-
-    @pytest.mark.parametrize("command", ["sweep", "bench"])
     def test_unknown_backend_rejected_by_argparse(self, command, capsys):
-        with pytest.raises(SystemExit):
-            main([command, "--backend", "carrier-pigeon"])
-        assert "invalid choice" in capsys.readouterr().err
+        # a deleted backend's name is rejected like any other unknown one
+        for backend in ("carrier-pigeon", "socket"):
+            with pytest.raises(SystemExit):
+                main([command, "--backend", backend])
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_sweep_inline_backend_reported(self, capsys):
         code = main(["sweep", "--smoke", "--backend", "inline", "--json"])
@@ -276,28 +273,6 @@ class TestExecutionOptionsGroup:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["backend"] == "inline"
         assert len(payload["rows"]) == 4
-
-    def test_sweep_socket_backend_loopback(self, capsys):
-        code = main([
-            "sweep", "--smoke", "--backend", "socket", "--workers", "2", "--json",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads(out.strip().splitlines()[-1])
-        assert payload["backend"] == "socket"
-        assert [row["key"] for row in payload["rows"]] == sorted(
-            row["key"] for row in payload["rows"]
-        )
-
-
-class TestServe:
-    def test_serve_answers_then_exits(self, capsys):
-        # --max-requests lets the test run the real accept loop to completion
-        code = main(["serve", "--max-requests", "0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "shard server listening on 127.0.0.1:" in out
-        assert "stopped after 0 request(s)" in out
 
 
 class TestVerify:

@@ -1,19 +1,18 @@
 """Conformance suite for sweep executor backends (repro.engine.executors).
 
-Every backend — ``inline``, ``process``, ``socket`` — must satisfy the same
+Both backends — ``inline`` and ``process`` — must satisfy the same
 contract: merged sweep rows serialise byte-identically to the serial
-baseline, every fault kind the backend's capabilities declare is survived
-with byte-identical rows (the PR 5 chaos matrix), a torn result store
-resumes cleanly, and the progress stream's ``final`` event agrees with the
-persisted summary.  The suite is parameterized so a fourth backend only
-needs a new entry in ``BACKEND_PARAMS``.
+baseline, every fault kind is survived with byte-identical rows (the
+chaos matrix), a torn result store resumes cleanly, and the progress
+stream's ``final`` event agrees with the persisted summary.  The suite is
+parameterized so a new backend only needs a new entry in
+``BACKEND_PARAMS``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import socket as socket_mod
 import warnings
 
 import pytest
@@ -21,18 +20,11 @@ import pytest
 from repro.engine import Fault, FaultPlan, run_sweep, smoke_grid, verify_store
 from repro.engine.executors import (
     BACKENDS,
-    DEFAULT_MEMORY_BUDGET,
     ExecutionOptions,
     InlineExecutor,
     ProcessExecutor,
-    ShardServer,
-    SocketExecutor,
     SweepExecutor,
     as_executor,
-    batch_cells_by_volume,
-    estimated_ball_volume,
-    estimated_cell_volume,
-    parse_hosts,
 )
 from repro.engine.faults import FAULT_KINDS
 
@@ -40,7 +32,6 @@ from repro.engine.faults import FAULT_KINDS
 BACKEND_PARAMS = {
     "inline": {"backend": "inline", "workers": 1},
     "process": {"backend": "process", "workers": 2},
-    "socket": {"backend": "socket", "workers": 2},
 }
 
 
@@ -82,15 +73,13 @@ class TestByteIdentity:
 
 
 class TestChaosMatrix:
-    """The PR 5 chaos contract, now parameterized over every backend."""
+    """The chaos contract, parameterized over every backend."""
 
     def test_all_declared_fault_kinds_in_one_sweep(
         self, backend_opts, serial_baseline, tmp_path
     ):
-        """One sweep hit by every fault kind the backend declares survivable."""
+        """One sweep hit by every fault kind the engine declares survivable."""
         base, keys = serial_baseline
-        declared = as_executor(**backend_opts).capabilities.fault_kinds
-        assert declared == frozenset(FAULT_KINDS)
         plan = FaultPlan(
             faults=(
                 Fault(kind="raise-worker", cell=keys[0]),
@@ -99,7 +88,7 @@ class TestChaosMatrix:
                 Fault(kind="truncate-shard", cell=keys[3], offset=-5),
             )
         )
-        assert {fault.kind for fault in plan.faults} == declared
+        assert {fault.kind for fault in plan.faults} == set(FAULT_KINDS)
         result = run_sweep(
             smoke_grid(),
             out_dir=tmp_path / "out",
@@ -169,7 +158,7 @@ class TestProgressConformance:
 
 class TestRegistry:
     def test_backend_registry_is_exactly_the_shipped_set(self):
-        assert set(BACKENDS) == {"inline", "process", "socket"}
+        assert set(BACKENDS) == {"inline", "process"}
         assert set(BACKEND_PARAMS) == set(BACKENDS), (
             "a new backend must join the conformance matrix"
         )
@@ -178,7 +167,6 @@ class TestRegistry:
         assert isinstance(as_executor(None, workers=0), InlineExecutor)
         assert isinstance(as_executor(None, workers=1), InlineExecutor)
         assert isinstance(as_executor(None, workers=2), ProcessExecutor)
-        assert isinstance(as_executor("socket", workers=2), SocketExecutor)
 
     def test_executor_instances_pass_through(self):
         executor = InlineExecutor()
@@ -188,37 +176,18 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             as_executor("carrier-pigeon")
 
-    def test_socket_only_options_rejected_elsewhere(self):
-        with pytest.raises(ValueError, match="hosts only apply"):
-            as_executor("inline", hosts=[("h", 1)])
-        with pytest.raises(ValueError, match="memory_budget only applies"):
-            as_executor("process", workers=2, memory_budget=10)
-
 
 class TestCapabilities:
     def test_inline_capabilities(self):
-        caps = InlineExecutor().capabilities
-        assert not caps.parallel and not caps.separate_process
-        assert caps.supports_on_row
+        executor = InlineExecutor()
+        assert not executor.parallel and executor.width == 1
 
     def test_process_capabilities(self):
-        caps = ProcessExecutor(workers=2).capabilities
-        assert caps.parallel and caps.separate_process
-        assert not caps.supports_on_row
-
-    def test_socket_loopback_never_arms_real_sigkill(self):
-        """Self-hosted loopback servers share our process: kill-worker must
-        degrade to a raised InjectedWorkerError, not a real SIGKILL."""
-        assert not SocketExecutor(workers=2).capabilities.separate_process
-
-    def test_socket_external_hosts_are_separate_processes(self):
-        executor = SocketExecutor(hosts=[("127.0.0.1", 7641), ("127.0.0.1", 7642)])
-        assert executor.capabilities.separate_process
-        assert executor.width == 2
+        executor = ProcessExecutor(workers=2)
+        assert executor.parallel and executor.width == 2
 
     def test_base_executor_is_the_serial_contract(self):
-        caps = SweepExecutor.capabilities
-        assert not caps.parallel and caps.fault_kinds == frozenset(FAULT_KINDS)
+        assert not SweepExecutor.parallel and SweepExecutor.width == 1
 
 
 class TestExecutionOptions:
@@ -226,7 +195,7 @@ class TestExecutionOptions:
         options = ExecutionOptions()
         assert options.workers == 1 and options.backend is None
         kwargs = options.engine_kwargs()
-        assert kwargs["workers"] == 1 and "hosts" not in kwargs
+        assert kwargs["workers"] == 1 and kwargs["backend"] is None
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
@@ -236,107 +205,12 @@ class TestExecutionOptions:
             ("cell_timeout", -1.0, "cell_timeout must be positive"),
             ("retries", -1, "retries must be >= 0"),
             ("max_restarts", -1, "max_restarts must be >= 0"),
-            ("hosts", (("h", 1),), "hosts only apply to the socket backend"),
         ],
     )
     def test_bad_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ExecutionOptions(**{field: value})
 
-    def test_hosts_allowed_on_socket(self):
-        options = ExecutionOptions(backend="socket", hosts=(("h", 7641),))
-        assert options.engine_kwargs()["hosts"] == [("h", 7641)]
-
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionOptions().workers = 4
-
-
-class TestVolumeBudgeting:
-    def test_ball_volume_closed_form(self):
-        # 1 + Δ·Σ_{r<Δ-2} (Δ-1)^r, the Section 4 witness-ball bound
-        assert estimated_ball_volume(1) == 1
-        assert estimated_ball_volume(2) == 1  # radius 0: the root alone
-        assert estimated_ball_volume(3) == 1 + 3 * 1
-        assert estimated_ball_volume(4) == 1 + 4 * (1 + 3)
-        assert estimated_ball_volume(8) == 1 + 8 * sum(7**r for r in range(6))
-
-    def test_ball_volume_monotone_in_delta(self):
-        volumes = [estimated_ball_volume(d) for d in range(2, 12)]
-        assert volumes == sorted(volumes)
-
-    def test_cell_volume_counts_both_witness_balls(self):
-        assert estimated_cell_volume({"delta": 4}) == 2 * estimated_ball_volume(4)
-
-    def test_batching_preserves_order_and_respects_budget(self):
-        cells = [{"key": f"c{i}", "delta": 3} for i in range(5)]
-        cost = estimated_cell_volume(cells[0])
-        batches = batch_cells_by_volume(cells, budget=2 * cost)
-        assert [len(batch) for batch in batches] == [2, 2, 1]
-        flattened = [cell["key"] for batch in batches for cell in batch]
-        assert flattened == [cell["key"] for cell in cells]
-
-    def test_oversized_cell_still_ships_alone(self):
-        cells = [{"key": "big", "delta": 8}, {"key": "small", "delta": 3}]
-        batches = batch_cells_by_volume(cells, budget=1)
-        assert [len(batch) for batch in batches] == [1, 1]
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(ValueError, match="memory_budget must be positive"):
-            batch_cells_by_volume([{"delta": 3}], budget=0)
-
-    def test_default_budget_keeps_smoke_shard_in_one_request(self):
-        cells = [{"delta": 3}, {"delta": 4}, {"delta": 3}, {"delta": 4}]
-        assert len(batch_cells_by_volume(cells, DEFAULT_MEMORY_BUDGET)) == 1
-
-    def test_default_budget_isolates_e1_largest_delta(self):
-        # a Δ=8 cell is ~3·10⁵ resident nodes: it must travel alone
-        cells = [{"delta": 8}, {"delta": 8}]
-        assert len(batch_cells_by_volume(cells, DEFAULT_MEMORY_BUDGET)) == 2
-
-
-class TestParseHosts:
-    def test_string_tuple_and_none_forms(self):
-        assert parse_hosts(None) == []
-        assert parse_hosts("h1:7641, h2:7642") == [("h1", 7641), ("h2", 7642)]
-        assert parse_hosts([("h1", 7641)]) == [("h1", 7641)]
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError, match="bad host spec"):
-            parse_hosts("no-port")
-        with pytest.raises(ValueError, match="bad port"):
-            parse_hosts("h:seven")
-
-
-class TestShardServerProtocol:
-    def test_ping_and_max_requests(self):
-        server = ShardServer()
-        server.start()
-        try:
-            host, port = server.address
-            with socket_mod.create_connection((host, port), timeout=5) as conn:
-                fh = conn.makefile("rw", encoding="utf-8", newline="\n")
-                fh.write(json.dumps({"op": "ping"}) + "\n")
-                fh.flush()
-                reply = json.loads(fh.readline())
-            assert reply == {"ok": True, "result": "pong"}
-        finally:
-            server.stop()
-
-    def test_external_host_round_trip(self, serial_baseline):
-        """A sweep dispatched to explicitly-addressed servers — the two-host
-        topology CI runs across real processes — stays byte-identical."""
-        base, _ = serial_baseline
-        servers = [ShardServer(), ShardServer()]
-        for server in servers:
-            server.start()
-        try:
-            hosts = [server.address for server in servers]
-            result = run_sweep(
-                smoke_grid(), backend="socket", hosts=hosts, use_cache=False
-            )
-            assert rows_bytes(result.rows) == base
-            assert sum(server.requests_served for server in servers) >= 2
-        finally:
-            for server in servers:
-                server.stop()

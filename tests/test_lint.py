@@ -302,9 +302,9 @@ class TestWorkerExemption:
 
     def test_shipped_executors_are_the_only_spawners_in_src(self):
         # the driver (monitor thread), the shard runtime (watchdog thread),
-        # the process/socket backends, and the sweep service (queue-drain
-        # workers + the threading HTTP front-end); the inline backend runs
-        # on asyncio and needs no sanction at all
+        # the process backend, and the sweep service (queue-drain workers +
+        # the threading HTTP front-end); the inline backend is a plain loop
+        # and needs no sanction at all
         from dataclasses import replace
 
         strict = replace(DEFAULT_CONFIG, worker_modules=frozenset())
@@ -314,7 +314,6 @@ class TestWorkerExemption:
             str(SRC / "repro" / "engine" / "pool.py"),
             str(SRC / "repro" / "engine" / "executors" / "shard.py"),
             str(SRC / "repro" / "engine" / "executors" / "process.py"),
-            str(SRC / "repro" / "engine" / "executors" / "sockets.py"),
             str(SRC / "repro" / "service" / "jobs.py"),
             str(SRC / "repro" / "service" / "server.py"),
         }
@@ -327,7 +326,6 @@ class TestWorkerExemption:
                 "repro.engine.pool",
                 "repro.engine.executors.shard",
                 "repro.engine.executors.process",
-                "repro.engine.executors.sockets",
                 "repro.service.jobs",
                 "repro.service.server",
             }
