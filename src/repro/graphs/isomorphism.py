@@ -9,19 +9,20 @@ For trees-with-loops (property (P3): the construction's graphs are trees once
 loops are ignored) a rooted, colour-preserving isomorphism is decided by a
 *canonical form*: proper edge colouring makes the recursive encoding of a
 rooted tree deterministic, so two balls are isomorphic iff their encodings are
-equal.  A general (slow) fallback via :mod:`networkx` VF2 is provided for
-arbitrary EC-graphs.
+equal.  The canonicaliser runs over the graph's columnar snapshot
+(:mod:`repro.graphs.soa`).  VF2 via :mod:`networkx` decides isomorphism for
+graphs that are not trees-with-loops.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Tuple
 
 import networkx as nx
 
-from . import soa
 from .multigraph import ECGraph
 from .neighborhoods import Ball
+from .soa import canonical_rooted_form
 
 Node = Hashable
 
@@ -32,15 +33,11 @@ __all__ = [
     "rooted_isomorphic",
     "ec_isomorphic",
     "install_canonical_cache",
-    "current_canonical_cache",
     "use_canonical_cache",
 ]
 
-_LOOP = "loop"
-_CUT = "cut"
-
 #: the installed canonical-form memoizer (duck-typed: anything with a
-#: ``canonical_form(g, root, compute)`` method, normally a
+#: ``canonical_form(g, root)`` method, normally a
 #: :class:`repro.engine.cache.CanonicalFormCache`); ``None`` disables
 #: memoization.  Held here — not in :mod:`repro.engine` — so the graphs
 #: layer never imports upwards.
@@ -60,11 +57,6 @@ def install_canonical_cache(cache):
     return previous
 
 
-def current_canonical_cache():
-    """The ambient canonical-form cache, or ``None`` when memoization is off."""
-    return _CANONICAL_CACHE
-
-
 class use_canonical_cache:
     """Install a canonical-form cache for the duration of a ``with`` block."""
 
@@ -81,56 +73,17 @@ class use_canonical_cache:
         return False
 
 
-def canonical_rooted_form(g: ECGraph, root: Node, _from_eid: Optional[int] = None) -> Tuple:
-    """Canonical form of a rooted EC tree-with-loops.
-
-    Recursively encodes the structure below ``root``: for each incident edge
-    (other than the one we arrived by) the entry is ``(colour, "loop")`` for a
-    loop and ``(colour, <child encoding>)`` otherwise.  Entries are sorted by
-    colour; properness guarantees colours are distinct, so the encoding is
-    well-defined and two rooted trees-with-loops are colour-isomorphic iff
-    their canonical forms are equal.
-
-    Raises ``ValueError`` if the graph (ignoring loops) contains a cycle,
-    since the recursion would not terminate on such inputs.
-    """
-    entries = []
-    for e in g.incident_edges(root):
-        if _from_eid is not None and e.eid == _from_eid:
-            entries.append((e.color, _CUT))
-            continue
-        if e.is_loop:
-            entries.append((e.color, _LOOP))
-        else:
-            child = e.other(root)
-            entries.append((e.color, canonical_rooted_form(g, child, _from_eid=e.eid)))
-    return tuple(sorted(entries, key=lambda item: (repr(item[0]), repr(item[1]))))
-
-
-def _compute_canonical(g: ECGraph, root: Node) -> Tuple:
-    """The compute path under a cache miss: the plan-cached array kernel
-    (:func:`repro.graphs.soa.canonical_form_fast`) when the graph's frozen
-    kernel admits a SoA snapshot, the reference recursion otherwise.  Both
-    produce identical tuples; the recursion remains the semantics of
-    record."""
-    form = soa.canonical_form_fast(g, root)
-    if form is not None:
-        return form
-    return canonical_rooted_form(g, root)
-
-
 def canonical_form_of(g: ECGraph, root: Node) -> Tuple:
     """Canonical rooted form of a tree-with-loops, through the ambient cache.
 
     Equal to :func:`canonical_rooted_form` but consults the installed
-    canonical-form cache (:func:`install_canonical_cache`) first and
-    computes misses over the columnar SoA snapshot; the hot path of
-    ball-isomorphism checks and of the parallel sweep engine.
+    canonical-form cache (:func:`install_canonical_cache`) first; the hot
+    path of ball-isomorphism checks and of the parallel sweep engine.
     """
     cache = _CANONICAL_CACHE
     if cache is not None:
-        return cache.canonical_form(g, root, _compute_canonical)
-    return _compute_canonical(g, root)
+        return cache.canonical_form(g, root)
+    return canonical_rooted_form(g, root)
 
 
 def rooted_isomorphic(g1: ECGraph, r1: Node, g2: ECGraph, r2: Node) -> bool:

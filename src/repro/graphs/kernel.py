@@ -64,7 +64,8 @@ __all__ = [
 ]
 
 #: version string folded into every digest; bump on any encoding change so
-#: stale on-disk cache entries can never alias fresh ones
+#: digests recorded under an older encoding (golden constants, stored
+#: artifacts) can never alias fresh ones
 KERNEL_DIGEST_VERSION = "repro-graph-kernel-v1"
 
 _MASK = (1 << 256) - 1
@@ -132,28 +133,6 @@ class DiEdge:
     def is_loop(self) -> bool:
         """Whether this arc is a directed loop (tail equals head)."""
         return self.tail == self.head
-
-
-# ----------------------------------------------------------------------
-# digest tokens — memoized in the process-wide interned-label table
-# (repro.graphs.labels); the payload encoding is unchanged, so digests
-# stay byte-identical across the refactor
-# ----------------------------------------------------------------------
-def _label_bytes(v: Node) -> bytes:
-    return LABELS.repr_bytes(v)
-
-
-def _node_token(v: Node) -> int:
-    return LABELS.node_token(v)
-
-
-def _edge_token(ends: Tuple[Node, Node], color: Color, directed: bool) -> int:
-    return LABELS.edge_token(ends, color, directed)
-
-
-def _record_token(record, directed: bool) -> int:
-    ends = (record.tail, record.head) if directed else (record.u, record.v)
-    return _edge_token(ends, record.color, directed)
 
 
 class GraphKernel:
@@ -403,7 +382,7 @@ class GraphBuilder:
         if v not in self._slots:
             self._slots[v] = {}
             self._owned.add(v)
-            self._acc = (self._acc + _node_token(v)) & _MASK
+            self._acc = (self._acc + LABELS.node_token(v)) & _MASK
             self.allocated_nodes += 1
         return v
 
@@ -446,7 +425,7 @@ class GraphBuilder:
         self._edges[eid] = record
         self._own(u)[key_u] = eid
         self._own(v)[key_v] = eid
-        self._acc = (self._acc + _edge_token((u, v), color, self.directed)) & _MASK
+        self._acc = (self._acc + LABELS.edge_token((u, v), color, self.directed)) & _MASK
         self.allocated_edges += 1
         return eid
 
@@ -462,7 +441,7 @@ class GraphBuilder:
             if record.u != record.v:
                 del self._own(record.v)[record.color]
             ends = (record.u, record.v)
-        self._acc = (self._acc - _edge_token(ends, record.color, self.directed)) & _MASK
+        self._acc = (self._acc - LABELS.edge_token(ends, record.color, self.directed)) & _MASK
         return record
 
     def remove_node(self, v: Node) -> None:
@@ -471,7 +450,7 @@ class GraphBuilder:
             self.remove_edge(eid)
         del self._slots[v]
         self._owned.discard(v)
-        self._acc = (self._acc - _node_token(v)) & _MASK
+        self._acc = (self._acc - LABELS.node_token(v)) & _MASK
 
     # ------------------------------------------------------------------
     # grafting: whole-graph inserts that skip per-edge properness checks
@@ -536,7 +515,7 @@ class GraphBuilder:
                 key: eid_map[eid] for key, eid in slots.items() if eid not in skip
             }
             self._owned.add(new_v)
-            self._acc = (self._acc + _node_token(new_v)) & _MASK
+            self._acc = (self._acc + LABELS.node_token(new_v)) & _MASK
             self.allocated_nodes += 1
         for old_eid, record in src_edges.items():
             if old_eid in skip:
@@ -550,7 +529,7 @@ class GraphBuilder:
                 ends = (new_record.u, new_record.v)
             self._edges[eid] = new_record
             self._next_eid = max(self._next_eid, eid + 1)
-            self._acc = (self._acc + _edge_token(ends, record.color, self.directed)) & _MASK
+            self._acc = (self._acc + LABELS.edge_token(ends, record.color, self.directed)) & _MASK
             self.allocated_edges += 1
         return mapping
 

@@ -10,8 +10,8 @@ module interns each distinct label (and colour) once into a process-wide
 * a **dense integer id** (``lid``) per distinct label — the currency of the
   structure-of-arrays snapshots in :mod:`repro.graphs.soa`, where per-node
   and per-edge columns hold ``lid`` arrays instead of label objects;
-* the serialised ``repr`` bytes (previously the ``_label_bytes`` memo
-  inside :mod:`repro.graphs.kernel`, now folded in here);
+* the serialised ``repr`` bytes (the digest serialisation, and the
+  canonical sort key for colours);
 * the SHA-256 **node token** per label and **edge token** per
   ``(endpoint, endpoint, colour, directedness)`` tuple — the exact values
   :data:`~repro.graphs.kernel.KERNEL_DIGEST_VERSION` digests are

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Hashable, Tuple
 
 from .digraph import POGraph
 from .kernel import GraphBuilder
+from .memo import BoundedMemo
 from .multigraph import ECGraph
 
 Node = Hashable
@@ -40,40 +41,13 @@ __all__ = [
 ]
 
 
-class _LiftMemo:
-    """Process-global memo of unfold/mix results, keyed by content digest.
-
-    ``unfold_loop`` and ``mix`` are pure functions of their input graphs'
-    labelled structure plus the chosen loop ids, and loop ids are stable
-    across rebuilds of the same graph — so ``(digest, eid)`` keys are sound.
-    Values hold the *frozen kernel* of the result; every lookup wraps it in
-    a fresh copy-on-write :class:`ECGraph` view, so callers may mutate their
-    copy without ever reaching the shared snapshot.  This is what makes the
-    adversary's ladder construction O(lookup) on repeated inputs (sweep
-    repeats, the G/H symmetry) instead of O(re-merge).
-
-    All mutation happens through methods on this instance, mirroring the
-    SoA plan cache's containment pattern.
-    """
-
-    __slots__ = ("limit", "_entries")
-
-    def __init__(self, limit: int = 4096) -> None:
-        self.limit = limit
-        self._entries: Dict[tuple, tuple] = {}
-
-    def get(self, key: tuple):
-        return self._entries.get(key)
-
-    def put(self, key: tuple, value: tuple) -> None:
-        if len(self._entries) >= self.limit:
-            self._entries.clear()
-        self._entries[key] = value
-
-
-#: the singletons behind the unfold/mix fast paths
-_UNFOLDS = _LiftMemo()
-_MIXES = _LiftMemo()
+#: unfold/mix results, keyed by input digests plus loop ids: both moves are
+#: pure functions of their inputs' labelled structure and the chosen loops,
+#: and loop ids are stable across rebuilds of the same graph.  Values hold
+#: the result's frozen kernel; every lookup wraps it in a fresh
+#: copy-on-write view, so callers may mutate their copy.
+_UNFOLDS = BoundedMemo(4096)
+_MIXES = BoundedMemo(4096)
 
 
 def is_covering_map_ec(h: ECGraph, g: ECGraph, alpha: Dict[Node, Node]) -> bool:

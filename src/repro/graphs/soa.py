@@ -13,13 +13,13 @@ over the interned-label ids of :mod:`repro.graphs.labels`:
   the colour's interned id, the edge id, and the dense index of the other
   endpoint — adjacency without touching an ``Edge`` record;
 * a second per-node permutation ordering each node's slots by ``repr``
-  of the colour — the exact sort key of
-  :func:`repro.graphs.isomorphism.canonical_rooted_form`;
+  of the colour — the sort key of :func:`canonical_rooted_form`;
 * per-edge: edge id and both endpoint indices, in insertion order.
 
-On top of the snapshot live the two integer-array hot paths:
+On top of the snapshot live the two hot operations, each implemented
+only here:
 
-* :func:`canonical_form_fast` — an iterative, hash-consed canonicaliser.
+* :func:`canonical_rooted_form` — an iterative, hash-consed canonicaliser.
   Each node's *shape* — its ``(colour id, child form id)`` rows in
   canonical order — keys a process-wide plan cache mapping shapes to
   already-built form tuples, so isomorphic subtrees (the G- and H-side
@@ -33,10 +33,14 @@ On top of the snapshot live the two integer-array hot paths:
   tokens), skipping the per-edge properness checks and token hashing of
   the generic builder path.
 
-Both functions return ``None`` (or raise exactly what the object path
-would) whenever a snapshot cannot represent the input — directed kernels,
-unsortable colours, colours with colliding ``repr``; callers fall back to
-the reference implementations, which remain the semantics of record.
+Inputs the columns cannot represent raise instead of returning a
+placeholder: a directed kernel or an object without a kernel raises
+``TypeError``, colours that do not sort raise the ``TypeError`` of the
+sort, a root outside the graph raises ``KeyError``, and canonicalising a
+graph where two distinct colours at one node share a ``repr`` raises
+``ValueError`` (the ``repr`` bytes are the canonical sort key, and the
+kernel digest cannot tell such colours apart either).  The object-walking
+versions of both operations live in the test suite as oracles.
 Snapshots memoize into the kernel's ``_soa`` slot and carry the label
 table's generation: a table clear invalidates every snapshot and the plan
 cache wholesale.
@@ -51,16 +55,16 @@ import numpy as np
 
 from .kernel import _MASK, GraphKernel
 from .labels import LABELS
+from .memo import BoundedMemo
 
 Node = Hashable
 
 __all__ = [
     "SoASnapshot",
     "snapshot_of",
-    "canonical_form_fast",
+    "canonical_rooted_form",
     "extract_ball",
     "plan_hit_count",
-    "plan_stats",
     "reset_plan_cache",
 ]
 
@@ -70,10 +74,6 @@ _CUT = "cut"
 #: child-form sentinels inside plan-cache shape keys (real ids are >= 0)
 _LOOP_FID = -1
 _CUT_FID = -2
-
-#: kernels whose structure defies a snapshot memoize this sentinel so the
-#: (failing) build is attempted once, not per lookup
-_UNAVAILABLE = "soa-unavailable"
 
 #: consed forms kept before the plan cache self-clears (a backstop far
 #: above any real sweep; clearing only ever costs recomputation)
@@ -183,8 +183,7 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
         repr_order.extend(start + j for j in order)
         for a, b in zip(order, order[1:]):
             if reprs[a] == reprs[b]:
-                # two distinct colours sharing a repr: the reference sort
-                # would consult payload reprs — defer to it for this graph
+                # two distinct colours sharing a repr: no canonical order
                 canonical_ok = False
     snap.canonical_ok = canonical_ok
 
@@ -200,35 +199,30 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
     return snap
 
 
-def snapshot_of(kernel: GraphKernel) -> Optional[SoASnapshot]:
-    """The memoized SoA snapshot of a frozen kernel, or ``None``.
+def snapshot_of(kernel: GraphKernel) -> SoASnapshot:
+    """The memoized SoA snapshot of a frozen, undirected kernel.
 
-    ``None`` means the structure defies a snapshot (directed discipline,
-    colours that do not sort) — callers must fall back to the object path.
-    Snapshots built against a since-cleared label table are rebuilt.
+    Raises ``TypeError`` for a directed kernel, and lets the ``TypeError``
+    of sorting colours that do not compare propagate.  Snapshots built
+    against a since-cleared label table are rebuilt.
     """
     snap = kernel._soa
     if isinstance(snap, SoASnapshot) and snap.generation == LABELS.generation:
         return snap
-    if snap is _UNAVAILABLE:
-        return None
     if kernel._directed:
-        object.__setattr__(kernel, "_soa", _UNAVAILABLE)
-        return None
-    try:
-        snap = _build(kernel)
-    except Exception:
-        object.__setattr__(kernel, "_soa", _UNAVAILABLE)
-        return None
+        raise TypeError("SoA snapshots cover undirected (EC) kernels only")
+    snap = _build(kernel)
     object.__setattr__(kernel, "_soa", snap)
     return snap
 
 
-def _kernel_of(g) -> Optional[GraphKernel]:
+def _kernel_of(g) -> GraphKernel:
     if isinstance(g, GraphKernel):
         return g
     kernel = getattr(g, "kernel", None)
-    return kernel if isinstance(kernel, GraphKernel) else None
+    if not isinstance(kernel, GraphKernel):
+        raise TypeError(f"expected a graph with a frozen kernel, got {type(g).__name__}")
+    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -244,14 +238,13 @@ class _PlanCache:
     tuple construction and makes repeat equality checks pointer-fast.
     """
 
-    __slots__ = ("generation", "cons", "forms", "hits", "misses")
+    __slots__ = ("generation", "cons", "forms", "hits")
 
     def __init__(self) -> None:
         self.generation = LABELS.generation
         self.cons: Dict[Tuple, int] = {}
         self.forms: List[Tuple] = []
         self.hits = 0
-        self.misses = 0
 
     def refresh(self) -> None:
         """Invalidate when the interned ids inside keys went stale."""
@@ -263,8 +256,6 @@ class _PlanCache:
     def record(self, root_hit: bool) -> None:
         if root_hit:
             self.hits += 1
-        else:
-            self.misses += 1
 
 
 _PLANS = _PlanCache()
@@ -275,15 +266,6 @@ def plan_hit_count() -> int:
     return _PLANS.hits
 
 
-def plan_stats() -> Dict[str, int]:
-    """Current plan-cache counters (hits, misses, consed shapes)."""
-    return {
-        "hits": _PLANS.hits,
-        "misses": _PLANS.misses,
-        "shapes": len(_PLANS.cons),
-    }
-
-
 def reset_plan_cache() -> None:
     """Drop all consed plans and counters (test isolation hook)."""
     plans = _PLANS
@@ -291,26 +273,30 @@ def reset_plan_cache() -> None:
     plans.cons.clear()
     plans.forms.clear()
     plans.hits = 0
-    plans.misses = 0
 
 
-def canonical_form_fast(g, root: Node) -> Optional[Tuple]:
-    """Canonical rooted form over the SoA snapshot, or ``None`` to fall back.
+def canonical_rooted_form(g, root: Node) -> Tuple:
+    """Canonical form of a rooted EC tree-with-loops.
 
-    Byte-identical to :func:`repro.graphs.isomorphism.canonical_rooted_form`
-    on every input it accepts; raises ``ValueError`` when the graph
-    (ignoring loops) contains a cycle, where the reference recursion would
-    not terminate.
+    For each edge at a node the form holds ``(colour, "cut")`` for the edge
+    the walk arrived by, ``(colour, "loop")`` for a loop and ``(colour,
+    <child form>)`` otherwise, sorted by ``repr`` of the colour.  Properness
+    makes the colours at a node distinct, so two rooted trees-with-loops
+    are colour-isomorphic iff their forms are equal.
+
+    Raises ``ValueError`` if the graph (ignoring loops) contains a cycle, or
+    if two distinct colours at one node share a ``repr``; ``KeyError`` for a
+    root outside the graph; ``TypeError`` for inputs without an undirected
+    kernel.
     """
-    kernel = _kernel_of(g)
-    if kernel is None:
-        return None
-    snap = snapshot_of(kernel)
-    if snap is None or not snap.canonical_ok:
-        return None
+    snap = snapshot_of(_kernel_of(g))
+    if not snap.canonical_ok:
+        raise ValueError(
+            "canonical form undefined: two distinct colours at one node share a repr"
+        )
     root_index = snap.index_of.get(root)
     if root_index is None:
-        return None
+        raise KeyError(root)
     plans = _PLANS
     plans.refresh()
     form, root_hit = _consed_form(snap, root_index, plans)
@@ -379,35 +365,11 @@ def _consed_form(snap: SoASnapshot, root_index: int, plans: _PlanCache) -> Tuple
 # ----------------------------------------------------------------------
 # columnar ball extraction
 # ----------------------------------------------------------------------
-class _BallMemo:
-    """Process-global memo of extracted balls, keyed by content digest.
-
-    A ball is a pure function of the parent graph's labelled structure,
-    the root label and the radius, so ``(digest, root, t)`` keys are sound
-    and never go stale.  Values hold the ball's frozen kernel (safe to
-    share: every consumer wraps it in a copy-on-write view) plus the BFS
-    distance dict, copied per lookup so callers may own their copy.
-
-    All mutation happens through methods on this instance, mirroring the
-    plan cache's containment pattern.
-    """
-
-    __slots__ = ("limit", "_entries")
-
-    def __init__(self, limit: int = 8192) -> None:
-        self.limit = limit
-        self._entries: Dict[tuple, tuple] = {}
-
-    def get(self, key: tuple):
-        return self._entries.get(key)
-
-    def put(self, key: tuple, value: tuple) -> None:
-        if len(self._entries) >= self.limit:
-            self._entries.clear()
-        self._entries[key] = value
-
-
-_BALLS = _BallMemo()
+#: extracted balls, keyed by ``(parent digest, root, t)``: a ball is a pure
+#: function of the parent's labelled structure, the root and the radius.
+#: Values hold the ball's frozen kernel (shared: every consumer wraps it in
+#: a copy-on-write view) and the BFS distance dict, copied per lookup.
+_BALLS = BoundedMemo(8192)
 
 
 def extract_ball(g, root: Node, t: int):
@@ -415,25 +377,22 @@ def extract_ball(g, root: Node, t: int):
 
     Returns ``(sub_kernel, distances)`` — the frozen kernel of the ball's
     subgraph (sharing the parent's edge records) plus the BFS distance
-    dict in discovery order — or ``None`` when no snapshot is available.
-    Node order, edge order, edge ids and the content digest are identical
-    to the historical builder-based extraction.  Results are memoized
-    process-wide by ``(parent digest, root, t)``.
+    dict in discovery order.  Node order, edge order, edge ids and the
+    content digest are those of building the ball edge by edge.  Results
+    are memoized process-wide by ``(parent digest, root, t)``.  Raises
+    ``KeyError`` for a root outside the graph and ``TypeError`` for inputs
+    without an undirected kernel.
     """
     kernel = _kernel_of(g)
-    if kernel is None:
-        return None
     memo_key = (kernel.digest, root, t)
     hit = _BALLS.get(memo_key)
     if hit is not None:
         sub_kernel, distances = hit
         return sub_kernel, dict(distances)
     snap = snapshot_of(kernel)
-    if snap is None:
-        return None
     root_index = snap.index_of.get(root)
     if root_index is None:
-        return None
+        raise KeyError(root)
 
     n = snap.n
     off = snap.slot_off

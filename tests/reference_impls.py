@@ -7,6 +7,11 @@ proposal on integer fast paths.  This module keeps the straightforward
 ``tests/test_oracles.py`` can assert that both give the same verdicts,
 messages, outputs, round counts and message counts.
 
+Likewise, the library extracts balls and canonicalises rooted trees over
+columnar snapshots (``repro.graphs.soa``).  The object-walking versions
+here — a BFS plus edge-by-edge rebuild, and the plain recursion — are the
+oracles those column paths are checked against.
+
 Nothing here is imported by the library.
 """
 
@@ -24,6 +29,43 @@ from repro.matching.fm import InconsistentOutputError, fm_from_node_outputs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# balls and canonical forms
+# ---------------------------------------------------------------------------
+
+
+def ball(g: ECGraph, v, t: int) -> Tuple[ECGraph, Dict[Any, int]]:
+    """``tau_t(g, v)`` rebuilt edge by edge: the BFS distances up to ``t``,
+    then every edge with both ends in the ball and an end within ``t - 1``.
+    Returns the subgraph and the distance dict."""
+    dist = g.bfs_distances(v, max_dist=t)
+    sub = ECGraph()
+    for w in dist:
+        sub.add_node(w)
+    if t >= 1:
+        for e in g.edges():
+            du = dist.get(e.u)
+            dv = dist.get(e.v)
+            if du is not None and dv is not None and min(du, dv) <= t - 1:
+                sub.add_edge(e.u, e.v, e.color, eid=e.eid)
+    return sub, dist
+
+
+def canonical_rooted_form(g: ECGraph, root, _from_eid: Optional[int] = None) -> Tuple:
+    """The canonical form by plain recursion: ``(colour, "cut")`` for the
+    edge arrived by, ``(colour, "loop")`` for a loop, ``(colour, <child
+    form>)`` otherwise, sorted by ``repr``.  Recurses forever on a cycle."""
+    entries = []
+    for e in g.incident_edges(root):
+        if _from_eid is not None and e.eid == _from_eid:
+            entries.append((e.color, "cut"))
+        elif e.is_loop:
+            entries.append((e.color, "loop"))
+        else:
+            entries.append((e.color, canonical_rooted_form(g, e.other(root), _from_eid=e.eid)))
+    return tuple(sorted(entries, key=lambda item: (repr(item[0]), repr(item[1]))))
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,8 @@ class TestCanonicalFormCache:
     def test_hit_and_miss_counting(self):
         g1, g2 = loopy_pair()
         cache = CanonicalFormCache()
-        f1 = cache.canonical_form(g1, "a", canonical_rooted_form)
-        f2 = cache.canonical_form(g2, "a", canonical_rooted_form)
+        f1 = cache.canonical_form(g1, "a")
+        f2 = cache.canonical_form(g2, "a")
         assert f1 == f2 == canonical_rooted_form(g1, "a")
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
@@ -72,11 +72,11 @@ class TestCanonicalFormCache:
     def test_lru_eviction(self):
         cache = CanonicalFormCache(maxsize=2)
         for n in (2, 3, 4):
-            cache.canonical_form(path_graph(n), 0, canonical_rooted_form)
+            cache.canonical_form(path_graph(n), 0)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # the evicted entry (n=2, least recently used) misses again
-        cache.canonical_form(path_graph(2), 0, canonical_rooted_form)
+        cache.canonical_form(path_graph(2), 0)
         assert cache.stats.misses == 4
         assert cache.stats.hits == 0
 

@@ -78,3 +78,9 @@ class TestMetadata:
         for e in b.graph.edges():
             orig = g.edge(e.eid)
             assert orig.color == e.color
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_missing_root_raises_at_every_radius(self, t):
+        # radius 0 too: no one-node ball rooted outside the graph
+        with pytest.raises(KeyError):
+            ball(path_graph(3), "nope", t)

@@ -1,9 +1,11 @@
 """Differential tests: the integer verifier and algorithm paths against the
-``Fraction`` references in ``tests/reference_impls.py``.
+``Fraction`` references in ``tests/reference_impls.py``, and the columnar
+ball extraction and canonicaliser against the object-walking references
+in the same file.
 
 Inputs are Hypothesis-generated loopy EC multigraphs (proper colourings
-with loops and parallel edges of distinct colours), their random 2-lifts,
-PO multigraphs with directed loops, and simple ID graphs.
+with loops and parallel edges of distinct colours), loopy trees, their
+random 2-lifts, PO multigraphs with directed loops, and simple ID graphs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.witness import AlgorithmFailure
 from repro.graphs.digraph import POGraph
 from repro.graphs.lifts import random_two_lift
 from repro.graphs.multigraph import ECGraph
+from repro.graphs.soa import _VECTOR_MIN_EDGES, canonical_rooted_form, extract_ball
 from repro.local.algorithm import ECWeightAlgorithm
 from repro.local.runtime import ECNetwork, IDNetwork, PONetwork, run
 from repro.matching.fm import exact_load, fm_from_node_outputs, po_node_load
@@ -60,6 +63,31 @@ def loopy_ec_multigraphs(draw, max_nodes: int = 6, max_colors: int = 4) -> ECGra
         for v in range(n):
             if not g.loops_at(v):
                 g.add_edge(v, v, k + 1)
+    return g
+
+
+@st.composite
+def loopy_trees(draw, min_nodes: int = 1, max_nodes: int = 8, min_colors: int = 1) -> ECGraph:
+    """A properly edge-coloured tree plus loops in colours left free.
+
+    Colours come from ``1..12``, so the ``repr`` order of a node's colours
+    (``"10" < "2"``) can differ from their numeric order.  With at least two
+    colours every leaf has a free one, so the tree reaches its drawn size."""
+    palette = draw(st.lists(st.integers(1, 12), min_size=min_colors, max_size=4, unique=True))
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    g = ECGraph()
+    g.add_node(0)
+    for v in range(1, n):
+        parents = [u for u in range(v) if set(palette) - set(g.incident_colors(u))]
+        if not parents:
+            break
+        u = draw(st.sampled_from(parents))
+        free = sorted(set(palette) - set(g.incident_colors(u)))
+        g.add_edge(u, v, draw(st.sampled_from(free)))
+    for v in g.nodes():
+        for color in sorted(set(palette) - set(g.incident_colors(v))):
+            if draw(st.booleans()):
+                g.add_edge(v, v, color)
     return g
 
 
@@ -276,3 +304,64 @@ class TestAlgorithmOracle:
     @settings(max_examples=40, deadline=None)
     def test_proposal_id_matches_reference(self, g):
         assert_same_run(lambda: IDNetwork(g), ProposalFM("ID"), ref.ProposalFM("ID"))
+
+
+# ---------------------------------------------------------------------------
+# balls and canonical forms
+# ---------------------------------------------------------------------------
+
+
+def assert_same_ball(g: ECGraph, v, t: int) -> None:
+    sub_kernel, distances = extract_ball(g, v, t)
+    want, want_dist = ref.ball(g, v, t)
+    assert list(distances.items()) == list(want_dist.items())
+    view = ECGraph.from_kernel(sub_kernel)
+    assert view.nodes() == want.nodes()
+    assert [(e.eid, e.u, e.v, e.color) for e in view.edges()] == [
+        (e.eid, e.u, e.v, e.color) for e in want.edges()
+    ]
+    assert sub_kernel.digest == want.kernel.digest
+    assert sub_kernel._next_eid == want.kernel._next_eid
+
+
+class TestBallAndFormOracle:
+    @given(g=loopy_trees())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_forms_match_reference(self, g):
+        for v in g.nodes():
+            assert canonical_rooted_form(g, v) == ref.canonical_rooted_form(g, v)
+
+    @given(g=loopy_trees(), seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_balls_match_reference(self, g, seed):
+        for h in ec_graph_and_lift(g, seed):
+            for v in h.nodes():
+                for t in range(4):
+                    assert_same_ball(h, v, t)
+
+    @given(g=loopy_trees(min_nodes=33, max_nodes=40, min_colors=2), seed=seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_vectorised_balls_match_reference(self, g, seed):
+        """The 2-lift of a tree on 33 or more nodes has at least 64 edges, so
+        extraction filters edges with the NumPy mask."""
+        lifted = ec_graph_and_lift(g, seed)[1]
+        assert lifted.num_edges() >= _VECTOR_MIN_EDGES
+        for v in lifted.nodes():
+            for t in range(4):
+                assert_same_ball(lifted, v, t)
+
+    @given(g=loopy_trees(), seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_ball_forms_match_reference(self, g, seed):
+        """Forms of the balls of a tree and of its 2-lift, computed over the
+        snapshot each ball derives from its parent's columns; a lift's ball
+        that closes a cycle must raise instead."""
+        for h in ec_graph_and_lift(g, seed):
+            for v in h.nodes():
+                for t in range(4):
+                    sub = ECGraph.from_kernel(extract_ball(h, v, t)[0])
+                    if sub.is_tree_ignoring_loops():
+                        assert canonical_rooted_form(sub, v) == ref.canonical_rooted_form(sub, v)
+                    else:
+                        with pytest.raises(ValueError, match="cycle"):
+                            canonical_rooted_form(sub, v)

@@ -1,13 +1,16 @@
 """Tests for the columnar kernel snapshots (repro.graphs.soa).
 
-The SoA layer is an *optimisation*, never a semantics change: every test
-here compares the array paths against the object-walking reference
-implementations (or an inline reproduction of them) and pins the sharing
-discipline — snapshots memoize per frozen kernel, balls memoize by content
-digest, and the canonicalisation plan cache recognises isomorphic shapes.
+The SoA layer is the only implementation of ball extraction and
+canonicalisation.  The tests here compare it against the object-walking
+references in ``tests/reference_impls.py``, pin the named errors raised
+for inputs the columns cannot represent, and pin the sharing discipline —
+snapshots memoize per frozen kernel, balls memoize by content digest, and
+the canonicalisation plan cache recognises isomorphic shapes.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -19,18 +22,20 @@ from repro.graphs.families import (
     single_node_with_loops,
     star_graph,
 )
-from repro.graphs.isomorphism import canonical_rooted_form
 from repro.graphs.labels import LABELS
 from repro.graphs.multigraph import ECGraph
+from repro.graphs.neighborhoods import ball
 from repro.graphs.soa import (
     _VECTOR_MIN_EDGES,
     SoASnapshot,
-    canonical_form_fast,
+    canonical_rooted_form,
     extract_ball,
     plan_hit_count,
     reset_plan_cache,
     snapshot_of,
 )
+from tests import reference_impls as ref
+from tests.test_oracles import assert_same_ball
 
 
 class TestSnapshot:
@@ -39,14 +44,6 @@ class TestSnapshot:
         first = snapshot_of(kernel)
         assert isinstance(first, SoASnapshot)
         assert snapshot_of(kernel) is first
-
-    def test_directed_kernel_has_no_snapshot(self):
-        po = POGraph()
-        po.add_edge("a", "b", 1)
-        kernel = po.kernel
-        assert snapshot_of(kernel) is None
-        # the failed build is memoized too, not retried per lookup
-        assert snapshot_of(kernel) is None
 
     def test_label_table_clear_invalidates_snapshots(self):
         kernel = random_loopy_tree(4, 1, seed=1).kernel
@@ -73,33 +70,35 @@ class TestSnapshot:
 
 
 class TestCanonicalFormFast:
+    """The plan-cached canonicaliser against the reference recursion."""
+
     def test_matches_reference_on_loopy_trees(self):
         for seed in range(4):
             g = random_loopy_tree(5, 2, seed=seed)
             for v in g.nodes():
-                assert canonical_form_fast(g, v) == canonical_rooted_form(g, v)
+                assert canonical_rooted_form(g, v) == ref.canonical_rooted_form(g, v)
 
     def test_matches_reference_on_fixture_families(self):
         for g in (path_graph(4), star_graph(3), single_node_with_loops(3)):
             for v in g.nodes():
-                assert canonical_form_fast(g, v) == canonical_rooted_form(g, v)
+                assert canonical_rooted_form(g, v) == ref.canonical_rooted_form(g, v)
 
     def test_equal_across_relabelling(self):
         g = random_loopy_tree(4, 1, seed=5)
         h = g.relabel({v: ("copy", v) for v in g.nodes()})
-        assert canonical_form_fast(g, 0) == canonical_form_fast(h, ("copy", 0))
+        assert canonical_rooted_form(g, 0) == canonical_rooted_form(h, ("copy", 0))
 
     def test_cycle_raises_like_the_reference_requires(self):
         with pytest.raises(ValueError, match="cycle"):
-            canonical_form_fast(cycle_graph(4), 0)
+            canonical_rooted_form(cycle_graph(4), 0)
 
     def test_root_plan_hit_counted_on_isomorphic_repeat(self):
         reset_plan_cache()
         g = random_loopy_tree(4, 2, seed=6)
-        form = canonical_form_fast(g, 0)
+        form = canonical_rooted_form(g, 0)
         h = g.relabel({v: ("twin", v) for v in g.nodes()})
         before = plan_hit_count()
-        twin_form = canonical_form_fast(h, ("twin", 0))
+        twin_form = canonical_rooted_form(h, ("twin", 0))
         assert twin_form == form
         # node labels differ, colour structure agrees: the root shape cons
         # answers without rebuilding — the engine's ``plan_hits`` signal
@@ -107,41 +106,61 @@ class TestCanonicalFormFast:
         # consed forms are identical objects, not merely equal
         assert twin_form is form
 
-    def test_foreign_object_falls_back(self):
-        assert canonical_form_fast(object(), 0) is None
+
+@functools.total_ordering
+class TiedColor:
+    """Distinct, sortable colours that all share one ``repr``."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __repr__(self) -> str:
+        return "tied"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TiedColor) and self.k == other.k
+
+    def __lt__(self, other) -> bool:
+        return self.k < other.k
+
+    def __hash__(self) -> int:
+        return hash(("tied", self.k))
 
 
-def reference_ball(g: ECGraph, v, t: int):
-    """The historical builder-based extraction (the semantics of record)."""
-    dist = g.bfs_distances(v, max_dist=t)
-    sub = ECGraph()
-    for w in dist:
-        sub.add_node(w)
-    if t >= 1:
-        for e in g.edges():
-            du = dist.get(e.u)
-            dv = dist.get(e.v)
-            candidates = [d for d in (du, dv) if d is not None]
-            if not candidates:
-                continue
-            if min(candidates) <= t - 1 and du is not None and dv is not None:
-                sub.add_edge(e.u, e.v, e.color, eid=e.eid)
-    return sub, dist
+class TestExplicitErrors:
+    """Inputs the columns cannot represent raise a named error."""
 
+    def test_foreign_object_raises_type_error(self):
+        with pytest.raises(TypeError):
+            canonical_rooted_form(object(), 0)
+        with pytest.raises(TypeError):
+            extract_ball(object(), 0, 1)
 
-def assert_same_extraction(g: ECGraph, v, t: int) -> None:
-    fast = extract_ball(g, v, t)
-    assert fast is not None
-    sub_kernel, distances = fast
-    ref, ref_dist = reference_ball(g, v, t)
-    assert distances == ref_dist
-    view = ECGraph.from_kernel(sub_kernel)
-    assert view.nodes() == ref.nodes()  # discovery order, not just set
-    assert [(e.eid, e.u, e.v, e.color) for e in view.edges()] == [
-        (e.eid, e.u, e.v, e.color) for e in ref.edges()
-    ]
-    assert sub_kernel.digest == ref.kernel.digest
-    assert sub_kernel._next_eid == ref.kernel._next_eid
+    def test_po_graph_raises_type_error(self):
+        po = POGraph()
+        po.add_edge("a", "b", 1)
+        with pytest.raises(TypeError):
+            snapshot_of(po.kernel)
+        with pytest.raises(TypeError):
+            canonical_rooted_form(po, "a")
+        with pytest.raises(TypeError):
+            ball(po, "a", 1)
+
+    def test_repr_tied_colours_raise_value_error_on_canonicalisation(self):
+        g = ECGraph()
+        g.add_edge(0, 0, TiedColor(1))
+        g.add_edge(0, 0, TiedColor(2))
+        with pytest.raises(ValueError, match="repr"):
+            canonical_rooted_form(g, 0)
+        # ball extraction does not depend on the repr order
+        assert ball(g, 0, 1).graph.num_edges() == 2
+
+    def test_missing_root_raises_key_error(self):
+        g = path_graph(3)
+        with pytest.raises(KeyError):
+            canonical_rooted_form(g, "nope")
+        with pytest.raises(KeyError):
+            extract_ball(g, "nope", 0)
 
 
 class TestExtractBall:
@@ -149,14 +168,14 @@ class TestExtractBall:
         g = random_loopy_tree(6, 2, seed=3)
         for v in g.nodes():
             for t in range(4):
-                assert_same_extraction(g, v, t)
+                assert_same_ball(g, v, t)
 
     def test_matches_builder_reference_vectorised(self):
         g = random_loopy_tree(40, 1, seed=4)
         assert g.num_edges() >= _VECTOR_MIN_EDGES  # NumPy mask path engaged
         for v in (0, 7, 39):
             for t in range(4):
-                assert_same_extraction(g, v, t)
+                assert_same_ball(g, v, t)
 
     def test_radius_zero_excludes_loops(self):
         sub_kernel, distances = extract_ball(single_node_with_loops(3), 0, 0)
